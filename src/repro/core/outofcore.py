@@ -29,13 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.anonymity import FrequencyEvaluator, FrequencySet
+from repro.core.anonymity import (
+    FrequencyEvaluator,
+    FrequencySet,
+    compute_frequency_set_range,
+)
 from repro.core.incognito import run_incognito
 from repro.core.problem import PreparedTable
 from repro.core.result import AnonymizationResult
 from repro.core.stats import SearchStats
 from repro.lattice.node import LatticeNode
-from repro.relational.column import CODE_DTYPE
 from repro.relational.groupby import group_by_codes
 
 
@@ -53,20 +56,18 @@ def merge_partials(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge per-chunk/per-shard (keys, counts) pairs into one grouped result.
 
-    COUNT is distributive, so re-grouping the concatenated group keys with
-    count weights is exact; and because the re-group sorts by the same
-    mixed-radix dense key as :func:`~repro.relational.groupby.group_by_codes`,
-    the merged result is *bit-identical* to a single whole-table scan
-    regardless of how the input was partitioned or in which order partials
-    were folded.  Shard-parallel evaluation (:mod:`repro.shard`) relies on
-    this to merge worker partials exactly.
+    COUNT is distributive, so summing the partial counts per group key is
+    exact; and because the merge orders groups by the same mixed-radix key
+    as a scan (:func:`~repro.relational.groupby.group_by_codes` is the
+    kernel of both), the merged result is *bit-identical* to a single
+    whole-table scan regardless of how the input was partitioned or in
+    which order partials were folded.  Shard-parallel evaluation
+    (:mod:`repro.shard`) relies on this to merge worker partials exactly.
     """
     all_keys = np.concatenate(partial_keys, axis=0)
     all_counts = np.concatenate(partial_counts)
-    from repro.core.anonymity import _regroup_weighted
-
     columns = [all_keys[:, position] for position in range(all_keys.shape[1])]
-    return _regroup_weighted(columns, radices, all_counts)
+    return group_by_codes(columns, radices, weights=all_counts)
 
 
 def compute_frequency_set_chunked(
@@ -79,37 +80,26 @@ def compute_frequency_set_chunked(
 
     Produces exactly the same result as
     :func:`repro.core.anonymity.compute_frequency_set`; peak extra memory
-    is one chunk's worth of generalized codes plus at most
+    is one chunk's mixed-radix keys plus at most
     :data:`MERGE_FAN_IN` pending partial results (partials are folded
     incrementally rather than all retained until the end of the scan).
     """
     if chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    table = problem.table
-    num_rows = table.num_rows
-    hierarchies = [problem.hierarchy(name) for name in node.attributes]
-    radices = [
-        hierarchy.cardinality(level)
-        for hierarchy, level in zip(hierarchies, node.levels)
-    ]
+    num_rows = problem.num_rows
     if num_rows == 0:
-        empty = np.empty((0, node.size), dtype=CODE_DTYPE)
-        return FrequencySet(node, empty, np.empty(0, dtype=np.int64), problem)
-
+        return compute_frequency_set_range(problem, node, 0, 0)
+    radices = [
+        problem.hierarchy(attribute).cardinality(level)
+        for attribute, level in node.items()
+    ]
     partial_keys: list[np.ndarray] = []
     partial_counts: list[np.ndarray] = []
-    base_codes = [table.column(name).codes for name in node.attributes]
     for start in range(0, num_rows, chunk_rows):
         stop = min(start + chunk_rows, num_rows)
-        chunk_arrays = [
-            hierarchy.level_lookup(level)[codes[start:stop]]
-            for hierarchy, level, codes in zip(
-                hierarchies, node.levels, base_codes
-            )
-        ]
-        keys, counts = group_by_codes(chunk_arrays, radices)
-        partial_keys.append(keys)
-        partial_counts.append(counts)
+        piece = compute_frequency_set_range(problem, node, start, stop)
+        partial_keys.append(piece.key_codes)
+        partial_counts.append(piece.counts)
         if len(partial_keys) >= MERGE_FAN_IN:
             merged = merge_partials(partial_keys, partial_counts, radices)
             partial_keys = [merged[0]]

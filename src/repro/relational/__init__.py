@@ -21,7 +21,8 @@ Here the same primitives are provided by a small, dependency-free engine:
 * :class:`~repro.relational.table.Table` is an immutable collection of equal
   length columns with projection, selection, row iteration and CSV I/O.
 * :func:`~repro.relational.groupby.group_by_count` computes frequency sets
-  with vectorised mixed-radix keying (``np.unique`` + ``bincount``).
+  with vectorised mixed-radix keying, counted with ``np.bincount`` when the
+  key space fits within the row count and by sorting otherwise.
 * :func:`~repro.relational.join.hash_join` is a classic build/probe hash
   equi-join, used by the star schema and the joining-attack simulator.
 * :class:`~repro.relational.star.StarSchema` ties a fact table to its

@@ -9,8 +9,10 @@ search finds a minimal-height member of it.  The module-scoped fixtures
 thread pool, with the frequency-set cache off and on: four combinations,
 all of which must be observationally identical.
 
-The oracle trusts no algorithm machinery: it scans the base table once
-per lattice node and applies the k-anonymity definition directly.
+The oracle trusts no algorithm machinery and shares no code with the
+group kernel: it counts generalized raw values per lattice node with the
+pure-Python reference (``tests/reference.py``) and applies the
+k-anonymity definition directly.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from repro.core import (
     samarati_binary_search,
     superroots_incognito,
 )
-from repro.core.anonymity import compute_frequency_set
 from repro.core.fscache import FrequencySetCache
 from repro.core.problem import PreparedTable
 from repro.parallel import ExecutionConfig
 from tests.conftest import make_random_problem
+from tests.reference import ReferenceFrequencies
 
 pytestmark = pytest.mark.differential
 
@@ -70,13 +72,12 @@ def assert_dist_metrics_identical(a, b, context=""):
 
 def oracle_anonymous_nodes(problem: PreparedTable, k: int) -> set:
     """Every k-anonymous node of the full lattice, by definition."""
-    lattice = problem.lattice()
-    anonymous = set()
-    for height in range(lattice.max_height + 1):
-        for node in lattice.nodes_at_height(height):
-            if compute_frequency_set(problem, node).is_k_anonymous(k):
-                anonymous.add(node)
-    return anonymous
+    reference = ReferenceFrequencies(problem)
+    return {
+        node
+        for node in problem.lattice().nodes()
+        if reference.is_k_anonymous(node, k)
+    }
 
 
 @given(seed=st.integers(0, 2**20), k=st.integers(1, 6))
