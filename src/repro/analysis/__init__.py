@@ -2,7 +2,7 @@
 
 The paper's correctness argument rests on predicate invariants
 (generalization and rollup properties); the engine mirrors them as *code*
-invariants — bit-identical frequency sets under threads/processes/faults,
+invariants — bit-identical frequency sets under threads/shards/faults,
 seeded-only randomness, the closed dotted counter namespace, atomic
 durability writes, documented CLI contracts.  The chaos/differential
 suites enforce those contracts at test time, expensively; this package

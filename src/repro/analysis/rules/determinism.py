@@ -88,7 +88,7 @@ class DeterminismRule(Rule):
     title = "worker-reachable code must be deterministic"
     rationale = (
         "frequency sets and frequency.* counters are contractually "
-        "bit-identical across serial/threads/processes and under faults; "
+        "bit-identical across serial/threads/shards and under faults; "
         "wall-clock, OS entropy, unseeded RNGs, and set iteration order "
         "in worker-reachable modules break that silently"
     )

@@ -61,8 +61,9 @@ from repro.bench.export import (
 )
 from repro.bench.harness import Series, format_series_table
 from repro.core.fscache import FrequencySetCache, use_cache
-from repro.parallel import ExecutionConfig, use_execution
-from repro.resilience import FaultPlan, atomic_write_text, use_checkpoints
+from repro.parallel import use_execution
+from repro.parallel.cli import add_execution_arguments, execution_from_args
+from repro.resilience import atomic_write_text, use_checkpoints
 from repro.bench.workloads import (
     adults_rows,
     figure10_sweep,
@@ -401,21 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run under cProfile and print the top hotspots to stderr",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluate lattice levels on this many workers (1 = serial; "
-        "marked-node sets and nodes.* counters are identical either way)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=["threads", "processes", "shards"],
-        default="processes",
-        help="worker backend when --workers > 1 (shards = processes "
-        "attaching the table zero-copy via shared memory, scans fanned "
-        "out over row shards)",
-    )
+    add_execution_arguments(parser)
     parser.add_argument(
         "--rows",
         default=None,
@@ -424,43 +411,12 @@ def main(argv: list[str] | None = None) -> int:
         f"(same as REPRO_LANDSEND_ROWS; 'full' = the paper's {FULL_ROWS:,})",
     )
     parser.add_argument(
-        "--shard-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rows per shard in the shards mode (default: the package "
-        "default width; execution granularity only, results are "
-        "bit-identical for every value)",
-    )
-    parser.add_argument(
         "--cache-mb",
         type=int,
         default=0,
         metavar="MB",
         help="share a frequency-set cache of this size across all runs "
         "(0 = off); cache.* counters land in the benchmark JSON",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="supervision timeout per parallel chunk (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="failed-chunk retries before serial fallback (default: 3)",
-    )
-    parser.add_argument(
-        "--inject-faults",
-        default=None,
-        metavar="SPEC",
-        help="deterministic fault injection for the parallel path, e.g. "
-        "'crash=0.2,timeout=0.1,seed=7'; figures and structural counters "
-        "are unchanged, fault.*/retry.* counters land in the JSON",
     )
     parser.add_argument(
         "--checkpoint",
@@ -529,25 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     try:
-        execution = ExecutionConfig.from_workers(
-            args.workers, args.parallel_mode
-        )
-        if (
-            args.chunk_timeout is not None
-            or args.max_retries != 3
-            or args.inject_faults is not None
-            or args.shard_rows is not None
-        ):
-            execution = ExecutionConfig(
-                mode=execution.mode,
-                workers=execution.workers,
-                chunk_timeout=args.chunk_timeout,
-                max_retries=args.max_retries,
-                faults=FaultPlan.from_spec(args.inject_faults)
-                if args.inject_faults is not None
-                else None,
-                shard_rows=args.shard_rows,
-            )
+        execution = execution_from_args(args)
         cache = (
             FrequencySetCache(args.cache_mb * 1024 * 1024)
             if args.cache_mb > 0

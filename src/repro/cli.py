@@ -56,8 +56,9 @@ from repro.core.fscache import FrequencySetCache, use_cache
 from repro.core.incognito import basic_incognito
 from repro.core.problem import PreparedTable
 from repro.core.superroots import superroots_incognito
-from repro.parallel import ExecutionConfig, use_execution
-from repro.resilience import CheckpointStore, FaultPlan, atomic_write_text
+from repro.parallel import use_execution
+from repro.parallel.cli import add_execution_arguments, execution_from_args
+from repro.resilience import CheckpointStore, atomic_write_text
 from repro.hierarchy.spec import hierarchies_from_spec
 from repro.relational.csvio import read_csv, write_csv
 from repro.relational.groupby import group_by_count
@@ -89,14 +90,6 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 def _comma_list(text: str) -> list[str]:
     return [item for item in text.split(",") if item]
-
-
-def _fault_plan(text: str) -> FaultPlan:
-    """argparse type for ``--inject-faults``; clean errors on bad specs."""
-    try:
-        return FaultPlan.from_spec(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
@@ -366,30 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the command under cProfile and print the top hotspots",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluate each lattice level's nodes on this many workers "
-        "(1 = serial; results are identical either way)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=["threads", "processes", "shards"],
-        default="processes",
-        help="worker backend when --workers > 1 (default: processes; "
-        "threads avoid process start-up cost on small tables; shards "
-        "fan each table scan out over shared-memory row shards)",
-    )
-    parser.add_argument(
-        "--shard-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rows per shard under --parallel-mode shards (default: the "
-        "package default width; affects execution granularity only, "
-        "never the results)",
-    )
+    add_execution_arguments(parser)
     parser.add_argument(
         "--cache-mb",
         type=int,
@@ -397,32 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         help="enable the frequency-set cache with this byte budget "
         "(0 = off); repeat probes become cache hits instead of table scans",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="supervision timeout per parallel chunk; a chunk exceeding it "
-        "is abandoned and retried (default: wait forever)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="failed-chunk retries before falling back to serial execution "
-        "of that chunk in the parent (default: 3)",
-    )
-    parser.add_argument(
-        "--inject-faults",
-        type=_fault_plan,
-        default=None,
-        metavar="SPEC",
-        help="deterministically inject worker failures for resilience "
-        "testing, e.g. 'crash=0.2,timeout=0.1,seed=7' "
-        "(keys: crash, timeout, slow, poison, memory, seed, hold, delay); "
-        "results are bit-identical to a fault-free run",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -671,23 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else obs.get_tracer()
     )
     try:
-        execution = ExecutionConfig.from_workers(
-            args.workers, args.parallel_mode
-        )
-        if (
-            args.chunk_timeout is not None
-            or args.max_retries != 3
-            or args.inject_faults is not None
-            or args.shard_rows is not None
-        ):
-            execution = ExecutionConfig(
-                mode=execution.mode,
-                workers=execution.workers,
-                chunk_timeout=args.chunk_timeout,
-                max_retries=args.max_retries,
-                faults=args.inject_faults,
-                shard_rows=args.shard_rows,
-            )
+        execution = execution_from_args(args)
         cache = (
             FrequencySetCache(args.cache_mb * 1024 * 1024)
             if args.cache_mb > 0

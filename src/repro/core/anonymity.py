@@ -18,7 +18,8 @@ frequency sets through one instrumented chokepoint.
 
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,8 +190,7 @@ def compute_frequency_set_range(
 ) -> FrequencySet:
     """*Partial* frequency set of rows ``[start, stop)`` at ``node``.
 
-    The building block of the out-of-core chunked scan, the shard-parallel
-    evaluator and the incremental delta scan: because COUNT is
+    One range of a scan plan (:class:`ScanPlan`): because COUNT is
     distributive, the partial sets of a row partition merge exactly to the
     whole-table scan (see :func:`repro.core.outofcore.merge_partials`).
     The returned set is labelled with ``node`` like a full scan — it is
@@ -252,6 +252,25 @@ def check_k_anonymity(
     return int(result.counts[small].sum()) <= max_suppression
 
 
+class ScanPlan(NamedTuple):
+    """One table scan: the row ranges still to scan, plus a remembered base.
+
+    ``ranges`` are ``[start, stop)`` row ranges in row order that together
+    cover every row the base does not.  ``base`` is an optional
+    ``(key_codes, counts, covered_rows)`` triple: the node's exact
+    frequency set over rows ``[0, covered_rows)``, remembered from an
+    earlier dataset version (see :mod:`repro.incremental`).
+    """
+
+    ranges: tuple[tuple[int, int], ...]
+    base: tuple[np.ndarray, np.ndarray, int] | None = None
+
+    @property
+    def start(self) -> int:
+        """The first row to scan; the rows before it come from ``base``."""
+        return 0 if self.base is None else self.base[2]
+
+
 class FrequencyEvaluator:
     """Instrumented frequency-set factory shared by all algorithms.
 
@@ -279,10 +298,14 @@ class FrequencyEvaluator:
         stats: SearchStats | None = None,
         *,
         cache=None,
+        shard_rows: int | None = None,
     ) -> None:
         self.problem = problem
         self.stats = stats if stats is not None else SearchStats()
         self.cache = cache
+        #: Width of a scan plan's row ranges (None: one range per scan);
+        #: an algorithm passes its ``ExecutionConfig.shard_rows``.
+        self.shard_rows = shard_rows
         if cache is not None:
             cache.bind(problem)
         # Adopt the region-default delta context when it serves exactly
@@ -296,104 +319,180 @@ class FrequencyEvaluator:
             delta if delta is not None and delta.matches(problem) else None
         )
 
-    def scan(self, node: LatticeNode) -> FrequencySet:
-        """Compute from the base table (counted as a table scan)."""
+    def scan(self, node: LatticeNode, plan: ScanPlan | None = None) -> FrequencySet:
+        """Compute from the base table (counted as one table scan).
+
+        ``plan`` defaults to every row, split at :attr:`shard_rows` (see
+        :meth:`plan_scan`).  A plan's ranges run in a loop that folds every
+        :data:`~repro.core.outofcore.MERGE_FAN_IN` partial sets into one,
+        so a plan of many small ranges holds at most that many partials at
+        once (the out-of-core scan), and :meth:`finish_scan` merges what is
+        left with the base.
+        """
+        if plan is None:
+            plan = self.plan_scan()
+        ranges, base = plan
+        split = len(ranges) > 1
         with obs.span("scan") as sp:
-            with self.stats.metrics.timer("latency.scan_seconds"):
-                result = compute_frequency_set(self.problem, node)
+            if split:
+                partials = self._scan_ranges(node, ranges)
+            else:
+                metrics = self.stats.metrics
+                timer = (
+                    metrics.timer("latency.scan_seconds")
+                    if base is None
+                    else metrics.timer("latency.delta_scan_seconds")
+                )
+                with timer:
+                    partial = compute_frequency_set_range(
+                        self.problem, node, *ranges[0]
+                    )
+                partials = [(partial.key_codes, partial.counts)]
+            result = self.finish_scan(node, partials, base, split=split)
             if sp:
                 sp.set(
                     node=str(node),
-                    rows_scanned=self.problem.num_rows,
+                    rows_scanned=self.problem.num_rows - plan.start,
                     groups=result.num_groups,
                 )
-        self.stats.table_scans += 1
-        self.stats.note_frequency_set(result.num_groups)
+                if split:
+                    sp.set(ranges=len(ranges))
+                if base is not None:
+                    sp.set(rows_reused=plan.start)
         return result
+
+    def plan_scan(
+        self,
+        base: tuple[np.ndarray, np.ndarray, int] | None = None,
+        width: int | None = None,
+    ) -> ScanPlan:
+        """A plan over the rows ``base`` does not cover, in ``width``-row ranges.
+
+        ``width`` defaults to :attr:`shard_rows`.  No width, an empty table
+        and an empty delta all give one range.
+        """
+        start = 0 if base is None else base[2]
+        stop = self.problem.num_rows
+        width = width or self.shard_rows
+        if width is None or stop - start <= width:
+            return ScanPlan(((start, stop),), base)
+        lows = range(start, stop, width)
+        return ScanPlan(tuple((low, min(low + width, stop)) for low in lows), base)
+
+    def _scan_ranges(
+        self, node: LatticeNode, ranges: Sequence[tuple[int, int]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Partials of ``ranges`` in order, folded every MERGE_FAN_IN."""
+        from repro.core.outofcore import MERGE_FAN_IN
+
+        partials: list[tuple[np.ndarray, np.ndarray]] = []
+        for start, stop in ranges:
+            partial = self._scan_range(node, start, stop)
+            partials.append((partial.key_codes, partial.counts))
+            if len(partials) >= MERGE_FAN_IN:
+                partials = [self._merge(node, partials, split=True)]
+        return partials
 
     def scan_range(
         self, node: LatticeNode, start: int, stop: int
     ) -> FrequencySet:
-        """Partial scan of rows ``[start, stop)`` (one shard of a scan).
+        """Partial scan of rows ``[start, stop)``: one range of a split plan.
 
+        The job a shard worker runs for a plan fanned out over ranges.
         Deliberately does **not** touch the ``frequency.*`` counters or the
-        ``dist.*`` metrics: a ranged scan produces a *partial* set, and the
-        shard-mode materializer accounts one table scan (plus one
-        frequency-set observation) for the *merged* result — keeping those
-        surfaces bit-identical to a serial whole-table scan.  The shard
-        work itself is visible under the ``shard.*`` namespace.
+        ``dist.*`` metrics: a ranged scan produces a *partial* set, and
+        :meth:`finish_scan` accounts the plan's one table scan when the
+        partials are merged — keeping those surfaces bit-identical to a
+        serial whole-table scan.  The range itself is visible under the
+        ``shard.*`` namespace.
         """
         with obs.span("scan", kind="range") as sp:
-            with self.stats.metrics.timer("shard.range_seconds"):
-                result = compute_frequency_set_range(
-                    self.problem, node, start, stop
-                )
+            result = self._scan_range(node, start, stop)
             if sp:
                 sp.set(
                     node=str(node),
                     rows_scanned=stop - start,
                     groups=result.num_groups,
                 )
+        return result
+
+    def _scan_range(self, node: LatticeNode, start: int, stop: int) -> FrequencySet:
+        with self.stats.metrics.timer("shard.range_seconds"):
+            result = compute_frequency_set_range(self.problem, node, start, stop)
         self.stats.shard_range_scans += 1
         self.stats.shard_rows_scanned += stop - start
         self.stats.metrics.observe("shard.rows_per_range", stop - start)
         return result
 
-    def delta_scan(
+    def finish_scan(
         self,
         node: LatticeNode,
-        base_keys: np.ndarray,
-        base_counts: np.ndarray,
-        start: int,
+        partials: Sequence[tuple[np.ndarray, np.ndarray]],
+        base: tuple[np.ndarray, np.ndarray, int] | None = None,
+        *,
+        split: bool = False,
     ) -> FrequencySet:
-        """Scan only rows ``[start, num_rows)`` and merge the base prefix in.
+        """Merge a scan plan's partials and base into ``node``'s frequency set.
 
-        The incremental replacement for :meth:`scan`: ``base_keys`` /
-        ``base_counts`` are the node's exact frequency set over the first
-        ``start`` rows (remembered from an earlier dataset version), the
-        appended suffix is scanned directly, and the two partials fold with
-        the exact distributive COUNT merge.  Because dictionary and level
-        codes are prefix-stable under appends, the merged set — groups,
-        order, and counts — is bit-identical to a whole-table scan, so this
-        accounts exactly like one: ``frequency.table_scans`` plus one
-        frequency-set observation.  The saved work is visible under
-        ``incremental.*`` (delta rows scanned, base rows reused) and the
-        ``latency.delta_*`` timers.  An empty delta (``start == num_rows``)
-        still takes this path, keeping the plan — and therefore every
-        counter an algorithm decision can depend on — history-independent.
+        Every table scan ends here, whether its ranges ran in the loop of
+        :meth:`scan` or on shard workers.  ``partials`` are ``(key_codes,
+        counts)`` pairs; ``split`` says the plan had more than one range.
+        One partial and no base is already the answer and is returned
+        unmerged; anything else folds in one exact COUNT merge
+        (:func:`~repro.core.outofcore.merge_partials`).  Because dictionary
+        and level codes are prefix-stable under appends, a merged base is
+        as exact as a rescan of its rows.
+
+        The plan is accounted once, as one ``frequency.table_scans`` plus
+        one frequency-set observation whatever its ranges, so those
+        surfaces match a serial whole-table scan.  A base adds the
+        ``incremental.*`` delta counters (rows scanned, rows reused) and
+        the ``latency.delta_merge_seconds`` timing of its merge.
         """
+        if base is not None:
+            partials = [base[:2], *partials]
+        if len(partials) == 1:
+            key_codes, counts = partials[0]
+        elif base is None:
+            key_codes, counts = self._merge(node, partials, split=split)
+        else:
+            with self.stats.metrics.timer("latency.delta_merge_seconds"):
+                key_codes, counts = self._merge(node, partials, split=split)
+        result = FrequencySet(node, key_codes, counts, self.problem)
+        stats = self.stats
+        if base is not None:
+            covered = base[2]
+            stats.incremental_delta_scans += 1
+            stats.incremental_delta_rows_scanned += self.problem.num_rows - covered
+            stats.incremental_base_rows_reused += covered
+        stats.table_scans += 1
+        stats.note_frequency_set(result.num_groups)
+        return result
+
+    def _merge(
+        self,
+        node: LatticeNode,
+        partials: Sequence[tuple[np.ndarray, np.ndarray]],
+        *,
+        split: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One exact COUNT merge; a split plan's merges count as ``shard.*``."""
         from repro.core.outofcore import merge_partials
 
-        num_rows = self.problem.num_rows
-        with obs.span("scan", kind="delta") as sp:
-            with self.stats.metrics.timer("latency.delta_scan_seconds"):
-                partial = compute_frequency_set_range(
-                    self.problem, node, start, num_rows
-                )
-            with self.stats.metrics.timer("latency.delta_merge_seconds"):
-                radices = [
-                    self.problem.hierarchy(attribute).cardinality(level)
-                    for attribute, level in node.items()
-                ]
-                key_codes, counts = merge_partials(
-                    [base_keys, partial.key_codes],
-                    [base_counts, partial.counts],
-                    radices,
-                )
-            result = FrequencySet(node, key_codes, counts, self.problem)
-            if sp:
-                sp.set(
-                    node=str(node),
-                    rows_scanned=num_rows - start,
-                    rows_reused=start,
-                    groups=result.num_groups,
-                )
-        self.stats.incremental_delta_scans += 1
-        self.stats.incremental_delta_rows_scanned += num_rows - start
-        self.stats.incremental_base_rows_reused += start
-        self.stats.table_scans += 1
-        self.stats.note_frequency_set(result.num_groups)
-        return result
+        radices = [
+            self.problem.hierarchy(attribute).cardinality(level)
+            for attribute, level in node.items()
+        ]
+        started = time.perf_counter()
+        merged = merge_partials(
+            [keys for keys, _ in partials],
+            [counts for _, counts in partials],
+            radices,
+        )
+        if split:
+            self.stats.shard_merges += 1
+            self.stats.shard_merge_seconds += time.perf_counter() - started
+        return merged
 
     def rollup(self, source: FrequencySet, target: LatticeNode) -> FrequencySet:
         """Compute by rollup from ``source`` (counted as a rollup)."""
@@ -440,19 +539,22 @@ class FrequencyEvaluator:
     # cache-aware planning (used directly and by the parallel evaluator)
     # ------------------------------------------------------------------
     def resolve_job(
-        self, node: LatticeNode, source: FrequencySet | None = None
-    ) -> tuple[str, FrequencySet | None]:
+        self,
+        node: LatticeNode,
+        source: FrequencySet | None = None,
+        width: int | None = None,
+    ) -> tuple[str, Any]:
         """Plan how to obtain ``node``'s frequency set.
 
         Returns ``(kind, payload)`` where kind is ``"use"`` (payload *is*
         the set — zero cost), ``"rollup"`` (re-aggregate payload up to
-        ``node``), ``"scan"`` (payload None — scan the base table), or
-        ``"delta"`` (incremental maintenance: payload is the remembered
-        ``(base_keys, base_counts, covered_rows)`` prefix set; scan only
-        the appended rows and merge — see :meth:`delta_scan`).
-        ``source`` is an algorithm-supplied rollup source (a failed BFS
-        parent, a super-root, a cube base set); it wins over the cache's
-        ancestor search because it is by construction at least as close.
+        ``node``), or ``"scan"`` (payload is a :class:`ScanPlan` from
+        :meth:`plan_scan`, in ``width``-row ranges; with an adopted delta
+        context it carries the node's remembered prefix set as its base,
+        so only the appended rows are scanned).  ``source`` is an
+        algorithm-supplied rollup source (a failed BFS parent, a
+        super-root, a cube base set); it wins over the cache's ancestor
+        search because it is by construction at least as close.
 
         Cache accounting happens here — the planning step — so serial and
         parallel execution record identical ``cache.*`` counters: an exact
@@ -463,13 +565,13 @@ class FrequencyEvaluator:
         into ``latency.cache_lookup_seconds`` (lookup + ancestor search).
         """
         if self.cache is None:
-            return self._plan_job(node, source)
+            return self._plan_job(node, source, width)
         with self.stats.metrics.timer("latency.cache_lookup_seconds"):
-            return self._plan_job(node, source)
+            return self._plan_job(node, source, width)
 
     def _plan_job(
-        self, node: LatticeNode, source: FrequencySet | None = None
-    ) -> tuple[str, FrequencySet | None]:
+        self, node: LatticeNode, source: FrequencySet | None, width: int | None
+    ) -> tuple[str, Any]:
         if source is not None and source.node == node:
             return ("use", source)
         cache = self.cache
@@ -499,36 +601,28 @@ class FrequencyEvaluator:
             piece = delta.lookup(node)
             if piece is not None:
                 self.stats.incremental_base_hits += 1
-                return (
-                    "delta",
-                    (piece.key_codes, piece.counts, piece.covered_rows),
-                )
+                base = (piece.key_codes, piece.counts, piece.covered_rows)
+                return ("scan", self.plan_scan(base, width))
             self.stats.incremental_base_misses += 1
-        return ("scan", None)
+        return ("scan", self.plan_scan(width=width))
 
-    def execute_job(
-        self, node: LatticeNode, kind: str, payload: FrequencySet | None
-    ) -> FrequencySet:
-        """Carry out a plan from :meth:`resolve_job` (no cache admission)."""
+    def execute_job(self, node: LatticeNode, kind: str, payload) -> FrequencySet:
+        """Carry out a plan from :meth:`resolve_job` (no cache admission).
+
+        Besides the planned kinds, ``"scan_range"`` runs one ``(start,
+        stop)`` range of a split scan plan: the job the parallel evaluator
+        sends to shard workers.
+        """
+        if payload is None:
+            raise ValueError(f"{kind!r} job has no payload")
         if kind == "use":
-            assert payload is not None
             return payload
         if kind == "rollup":
-            assert payload is not None
             return self.rollup(payload, node)
         if kind == "scan":
-            return self.scan(node)
+            return self.scan(node, payload)
         if kind == "scan_range":
-            # Shard-mode expansion of a "scan" plan: payload is the row
-            # range.  Only ever produced by the shard materializer, never
-            # by resolve_job.
-            start, stop = payload  # type: ignore[misc]
-            return self.scan_range(node, start, stop)
-        if kind == "delta":
-            # Incremental plan: payload is the remembered base prefix set
-            # plus the first un-covered row (see _plan_job).
-            base_keys, base_counts, start = payload  # type: ignore[misc]
-            return self.delta_scan(node, base_keys, base_counts, start)
+            return self.scan_range(node, *payload)
         raise ValueError(f"unknown frequency-set job kind {kind!r}")
 
     def cache_put(self, frequency_set: FrequencySet) -> None:
@@ -536,8 +630,8 @@ class FrequencyEvaluator:
 
         With a delta context adopted, every materialised set is also
         *captured* as that node's prefix set for the next dataset version
-        — any full materialisation (scan, rollup, projection, delta, or a
-        shard/delta merge) covers exactly the current row count.  Capture
+        — any full materialisation (scan, rollup or projection) covers
+        exactly the current row count.  Capture
         happens in the parent for all execution modes (workers never see
         the context), so ``incremental.captures`` is mode-independent.
         """
@@ -554,15 +648,19 @@ class FrequencyEvaluator:
             self.stats.cache_evictions += evicted
 
     def materialize(
-        self, node: LatticeNode, source: FrequencySet | None = None
+        self,
+        node: LatticeNode,
+        source: FrequencySet | None = None,
+        width: int | None = None,
     ) -> FrequencySet:
         """Obtain ``node``'s frequency set the cheapest known way.
 
         The serial convenience wrapper over resolve → execute → admit; the
         parallel evaluator performs the same three steps with the middle
-        one fanned out across workers.
+        one fanned out across workers.  ``width`` is as for
+        :meth:`resolve_job`.
         """
-        kind, payload = self.resolve_job(node, source)
+        kind, payload = self.resolve_job(node, source, width)
         result = self.execute_job(node, kind, payload)
         if kind != "use":
             self.cache_put(result)

@@ -44,7 +44,7 @@ from repro.core.result import AnonymizationResult, make_result
 from repro.core.stats import SearchStats
 from repro.lattice.node import LatticeNode
 from repro.obs.counters import CounterSet
-from repro.parallel import BatchMaterializer, ExecutionConfig
+from repro.parallel import BatchMaterializer, ExecutionConfig, current_execution
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointStore,
@@ -116,6 +116,8 @@ def samarati_binary_search(
         raise ValueError(f"k must be positive, got {k}")
     if cache is None:
         cache = current_cache()
+    if execution is None:
+        execution = current_execution()
     store = checkpoint
     if store is None:
         store, region_resume = resolve_checkpoint(
@@ -159,7 +161,9 @@ def samarati_binary_search(
         )
 
     stats = SearchStats()
-    evaluator = FrequencyEvaluator(problem, stats, cache=cache)
+    evaluator = FrequencyEvaluator(
+        problem, stats, cache=cache, shard_rows=execution.shard_rows
+    )
     lattice = problem.lattice()
     stats.nodes_generated = lattice.size
     started = time.perf_counter()

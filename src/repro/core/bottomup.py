@@ -18,7 +18,7 @@ Two variants, matching the paper's experimental lines:
 Like Incognito's inner search, the walk is level-synchronous — marks and
 rollup sources only flow upward — so each height's unmarked nodes form one
 independent batch handed to a :class:`~repro.parallel.BatchMaterializer`
-(serial, threads, or processes; identical results and structural counters
+(serial, threads, or shards; identical results and structural counters
 in every mode).  An attached
 :class:`~repro.core.fscache.FrequencySetCache` serves repeat nodes across
 runs and seeds other algorithms (this is the cross-algorithm reuse the
@@ -37,7 +37,7 @@ from repro.core.result import AnonymizationResult, make_result
 from repro.core.stats import SearchStats
 from repro.lattice.node import LatticeNode
 from repro.obs.counters import CounterSet
-from repro.parallel import BatchMaterializer, ExecutionConfig
+from repro.parallel import BatchMaterializer, ExecutionConfig, current_execution
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointStore,
@@ -74,6 +74,8 @@ def bottom_up_search(
         raise ValueError(f"k must be positive, got {k}")
     if cache is None:
         cache = current_cache()
+    if execution is None:
+        execution = current_execution()
     algorithm = "bottom-up" + ("-rollup" if rollup else "")
     store = checkpoint
     if store is None:
@@ -107,7 +109,9 @@ def bottom_up_search(
         )
 
     stats = SearchStats()
-    evaluator = FrequencyEvaluator(problem, stats, cache=cache)
+    evaluator = FrequencyEvaluator(
+        problem, stats, cache=cache, shard_rows=execution.shard_rows
+    )
     lattice = problem.lattice()
     started = time.perf_counter()
 

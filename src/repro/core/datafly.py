@@ -37,8 +37,13 @@ def datafly(
         raise ValueError(f"k must be positive, got {k}")
     if max_suppression is None:
         max_suppression = k
+    from repro.parallel.config import current_execution
+
     stats = SearchStats()
-    evaluator = FrequencyEvaluator(problem, stats)
+    # No batches to parallelise: only the region's range width applies.
+    evaluator = FrequencyEvaluator(
+        problem, stats, shard_rows=current_execution().shard_rows
+    )
     started = time.perf_counter()
 
     qi = problem.quasi_identifier

@@ -20,9 +20,9 @@ only ever flow upward across level boundaries, so all unmarked nodes at
 one height are mutually independent.  The engine therefore collects each
 height's work into a batch and hands it to a
 :class:`~repro.parallel.BatchMaterializer`, which executes it serially, on
-threads, or on a process pool — with bit-identical results and identical
-structural counters in every mode (see :mod:`repro.parallel.evaluator` for
-the determinism contract).  Within a level, entries are processed in
+threads, or on shard worker processes — with bit-identical results and
+identical structural counters in every mode (see
+:mod:`repro.parallel.evaluator` for the determinism contract).  Within a level, entries are processed in
 insertion order (roots first, then children in parent order), which is
 exactly the order the previous heap-based engine popped them in.
 
@@ -64,7 +64,7 @@ from repro.lattice.generation import graph_generation, initial_graph
 from repro.lattice.graph import CandidateGraph
 from repro.lattice.node import LatticeNode
 from repro.obs.counters import CounterSet
-from repro.parallel import BatchMaterializer, ExecutionConfig
+from repro.parallel import BatchMaterializer, ExecutionConfig, current_execution
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointStore,
@@ -97,12 +97,7 @@ class RootProvider:
     def frequency_set(
         self, evaluator: FrequencyEvaluator, node: LatticeNode
     ) -> FrequencySet:
-        """Materialise a root's frequency set (serial convenience path).
-
-        Subclasses predating :meth:`root_source` may override this
-        directly; the engine detects that and evaluates such roots in the
-        parent process (see :func:`_uses_legacy_frequency_set`).
-        """
+        """Materialise a root's frequency set (serial convenience path)."""
         return evaluator.materialize(node, self.root_source(evaluator, node))
 
 
@@ -112,20 +107,6 @@ class ScanRootProvider(RootProvider):
     The default :meth:`RootProvider.root_source` (no source) already means
     "scan"; the class exists so the basic variant is named in code.
     """
-
-
-def _uses_legacy_frequency_set(provider: RootProvider) -> bool:
-    """True when ``provider`` overrides frequency_set but not root_source.
-
-    Such providers (e.g. the chunked out-of-core scan provider) compute
-    finished frequency sets themselves, so their roots are evaluated
-    serially in the parent and fed to the batch as pre-resolved results.
-    """
-    cls = type(provider)
-    return (
-        cls.frequency_set is not RootProvider.frequency_set
-        and cls.root_source is RootProvider.root_source
-    )
 
 
 def _search_graph(
@@ -149,7 +130,6 @@ def _search_graph(
     marked: set[LatticeNode] = set()
     freq_cache: dict[LatticeNode, FrequencySet] = {}
     pending_children: dict[LatticeNode, int] = {}
-    legacy = _uses_legacy_frequency_set(provider)
 
     # Per-height entry lists, in insertion order.  A node's entries all
     # live at its own height, and children enter strictly above the level
@@ -192,8 +172,6 @@ def _search_graph(
             batch.append((node, parent))
             if parent is not None:
                 requests.append((node, freq_cache[parent]))
-            elif legacy:
-                requests.append((node, provider.frequency_set(evaluator, node)))
             else:
                 requests.append((node, provider.root_source(evaluator, node)))
 
@@ -257,6 +235,8 @@ def run_incognito(
         raise ValueError(f"k must be positive, got {k}")
     if cache is None:
         cache = current_cache()
+    if execution is None:
+        execution = current_execution()
     qi = problem.quasi_identifier
     store = checkpoint
     if store is None:
@@ -296,7 +276,9 @@ def run_incognito(
         )
 
     stats = SearchStats()
-    evaluator = FrequencyEvaluator(problem, stats, cache=cache)
+    evaluator = FrequencyEvaluator(
+        problem, stats, cache=cache, shard_rows=execution.shard_rows
+    )
     started = time.perf_counter()
     # Provider construction may do real work (Cube Incognito's
     # pre-computation phase) so it is timed as part of the run.

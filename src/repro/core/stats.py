@@ -179,10 +179,11 @@ class SearchStats:
     parallel_merge_seconds = _counter_view(
         "parallel_merge_seconds", _COUNTER_KEYS["parallel_merge_seconds"]
     )
-    # Shard-mode accounting (see repro.shard): ranged partial scans and the
-    # parent-side exact merges that fold them.  Kept in their own namespace
-    # so the frequency.* counters stay bit-identical to a serial run — one
-    # merged shard scan still accounts exactly one frequency.table_scans.
+    # Split-scan accounting (see repro.shard): the ranged partial scans of
+    # scan plans with more than one range, and the exact merges that fold
+    # them.  Kept in their own namespace so the frequency.* counters stay
+    # bit-identical to a serial run — a split scan still accounts exactly
+    # one frequency.table_scans.
     shard_range_scans = _counter_view(
         "shard_range_scans", _COUNTER_KEYS["shard_range_scans"]
     )

@@ -13,10 +13,10 @@ the exact partial set of its row prefix in the new version.
 :class:`IncrementalSession` drives re-anonymization over that chain: it
 keeps a :class:`~repro.incremental.context.DeltaContext` of remembered
 per-node prefix sets, installs it for each run so the evaluator scans only
-the appended suffix (``"delta"`` plans), and — when given a checkpoint
-directory — persists the pieces together with the fingerprint chain so a
-later process (or a killed-and-resumed run) picks up exactly where the
-data left off.  A chain mismatch is reported precisely (which delta, both
+the appended suffix (scan plans with a remembered base), and — when given
+a checkpoint directory — persists the pieces together with the fingerprint
+chain so a later process (or a killed-and-resumed run) picks up exactly
+where the data left off.  A chain mismatch is reported precisely (which delta, both
 fingerprints — :class:`~repro.resilience.checkpoint.ChainMatch`) and the
 session falls back to the longest valid prefix instead of discarding
 everything.

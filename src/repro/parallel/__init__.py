@@ -5,12 +5,13 @@ of the level below, so each level's unmarked nodes can be materialised
 concurrently.  This package provides:
 
 * :class:`~repro.parallel.config.ExecutionConfig` — backend (``serial`` /
-  ``threads`` / ``processes``) and worker count, with a region-default
-  mechanism (:func:`use_execution`) for fixed-signature callers;
+  ``threads`` / ``shards``), worker count and scan range width, with a
+  region-default mechanism (:func:`use_execution`) for fixed-signature
+  callers;
 * :class:`~repro.parallel.evaluator.BatchMaterializer` — the batch engine
   the search algorithms hand one level's requests to;
-* :mod:`~repro.parallel.worker` — the process-pool worker side
-  (problem shipped once per worker, arrays + stats deltas back).
+* :mod:`~repro.parallel.worker` — the worker side (shard processes attach
+  the table in shared memory once; arrays + stats deltas come back).
 
 Serial and parallel runs of the same algorithm produce identical result
 sets and identical structural (``nodes.*`` / ``frequency.*``) counters;
@@ -20,7 +21,7 @@ see :mod:`repro.parallel.evaluator` for the determinism contract and
 The batch path is *supervised* (see :mod:`repro.resilience`): chunks are
 awaited with a per-chunk timeout, retried with bounded exponential
 backoff, and survive pool breakage through a rebuild-once-then-demote
-ladder (``processes → threads → serial``) — all without perturbing the
+ladder (``shards → threads → serial``) — all without perturbing the
 determinism contract.  Failures are accounted under ``fault.*`` and
 ``retry.*``.
 """

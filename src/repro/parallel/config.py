@@ -2,12 +2,14 @@
 
 An :class:`ExecutionConfig` names the backend (``serial`` — the
 zero-dependency fallback; ``threads`` — cheap for small tables where
-process start-up and shipping dominate; ``processes`` — true parallelism
-for big scans; ``shards`` — processes over shared-memory row shards, the
-zero-copy mode for full-scale tables, see :mod:`repro.shard`) and the
-worker count.  It is immutable and normalising:
-one worker is always the serial config, so ``ExecutionConfig.from_workers``
-can be fed a CLI ``--workers`` value directly.
+process start-up dominates; ``shards`` — worker processes that attach the
+QI code arrays in shared memory zero-copy and scan row ranges in
+parallel, see :mod:`repro.shard`), the worker count, and the width of a
+table scan's row ranges (``shard_rows``).  It is immutable and
+normalising: one worker is always the serial config, and the retired
+``processes`` mode name is accepted as ``shards``, so
+``ExecutionConfig.from_workers`` can be fed a CLI ``--workers`` value
+directly and old job specs keep working.
 
 Since the resilience layer landed it also carries the supervision policy
 of the batch path: a per-chunk ``chunk_timeout``, the bounded-retry
@@ -22,7 +24,8 @@ traceback.
 A module-level *default* config can be installed for a region
 (:func:`use_execution`) so fixed-signature callers — the bench harness's
 algorithm table, the CLI — can opt whole runs into parallelism without
-threading a parameter through every layer.
+threading a parameter through every layer.  Both command lines take
+their execution flags from :mod:`repro.parallel.cli`.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from typing import Iterator
 
 from repro.resilience.faults import FaultPlan
 
-#: Recognised execution backends.  The supervised batch path demotes a
-#: failing run down the ladder: shards → threads → serial and
-#: processes → threads → serial (shards demote to threads, not processes,
-#: because threads share the parent's memory and need no re-shipping).
+#: Accepted mode names.  The supervised batch path demotes a failing run
+#: down the ladder shards → threads → serial.  ``processes`` names the
+#: retired pickling process pool and is normalised to ``shards``.
 MODES = ("serial", "threads", "processes", "shards")
 
 
@@ -58,9 +60,12 @@ class ExecutionConfig:
     backoff_cap: float = 2.0
     #: Deterministic injected failures (None = no injection).
     faults: FaultPlan | None = None
-    #: Rows per shard for the ``shards`` mode (None = package default);
-    #: execution granularity only — never affects results, which merge
-    #: bit-identically for every shard width.
+    #: Width of a table scan's row ranges in every mode: serial and
+    #: thread runs scan the ranges in a loop (the out-of-core scan), the
+    #: ``shards`` mode fans them out to its workers.  None is one range
+    #: per scan, or ``DEFAULT_SHARD_ROWS`` in a ``shards`` batch.
+    #: Execution granularity only — results merge bit-identically for
+    #: every width.
     shard_rows: int | None = None
 
     def __post_init__(self) -> None:
@@ -97,6 +102,8 @@ class ExecutionConfig:
             raise ValueError(
                 f"shard_rows must be an int >= 1 or None, got {self.shard_rows!r}"
             )
+        if self.mode == "processes":
+            object.__setattr__(self, "mode", "shards")
         # One worker cannot parallelise anything; collapse to the serial
         # fast path so `is_parallel` is the single dispatch question.
         if self.mode != "serial" and self.workers == 1:
@@ -110,7 +117,7 @@ class ExecutionConfig:
 
     @property
     def effective_shard_rows(self) -> int:
-        """The shard width the shards mode plans with."""
+        """The range width a ``shards`` batch fans scans out at."""
         if self.shard_rows is not None:
             return self.shard_rows
         from repro.shard.shm import DEFAULT_SHARD_ROWS
@@ -138,6 +145,8 @@ class ExecutionConfig:
     ) -> "ExecutionConfig":
         """Build from CLI-style inputs; ``workers`` absent/1 is serial.
 
+        More workers default to the ``shards`` mode.
+
         A zero or negative worker count is a user error, not a request
         for serial execution, and raises ``ValueError``.
         """
@@ -145,7 +154,7 @@ class ExecutionConfig:
             return cls()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        return cls(mode=mode or "processes", workers=workers)
+        return cls(mode=mode or "shards", workers=workers)
 
 
 #: Region default used when algorithms are called without explicit config.

@@ -6,16 +6,19 @@ unmarked nodes at one lattice (or candidate-graph) height are independent
 set computed at a strictly lower height.  :class:`BatchMaterializer`
 exploits exactly that independence: the algorithm hands it one level's
 ``(node, rollup-source)`` requests, and it materialises them serially, on
-a thread pool, on a process pool, or shard-parallel over shared memory
-(the ``shards`` mode), returning results in request order.
+a thread pool, or on shard worker processes over shared memory (the
+``shards`` mode), returning results in request order.
 
-The ``shards`` mode adds a second axis of parallelism for full-scale
-tables: the QI code arrays live in ``multiprocessing.shared_memory``
-segments (:mod:`repro.shard`) that every worker attaches zero-copy, and
-each planned scan fans out as ``scan_range`` jobs over contiguous row
-shards whose partial frequency sets the parent merges exactly
-(:func:`repro.core.outofcore.merge_partials` — COUNT is distributive).
-Rollups are not fanned out; their inputs are already small.
+Every table scan is one plan (:class:`~repro.core.anonymity.ScanPlan`):
+the rows a remembered base does not cover, split into ranges of
+``ExecutionConfig.shard_rows`` rows.  A plan runs its ranges in a loop
+inside its job, or, in a dispatched ``shards`` batch, fans them out as
+``scan_range`` jobs to workers that attach the QI code arrays zero-copy
+(:mod:`repro.shard`); the parent then merges the partials and the base
+exactly (:func:`repro.core.outofcore.merge_partials` — COUNT is
+distributive).  Both ways finish in
+:meth:`~repro.core.anonymity.FrequencyEvaluator.finish_scan`.  Rollups are
+not fanned out; their inputs are already small.
 
 Determinism contract (what makes ``--workers N`` safe to trust):
 
@@ -40,7 +43,7 @@ exponential backoff and deterministic jitter, bounded by
 ``ExecutionConfig.max_retries``; a chunk that exhausts its retries is
 executed serially in the parent, which cannot fail.  Pool-level breakage
 (``BrokenProcessPool``) walks a graceful-degradation ladder: the pool is
-rebuilt once, then the run is demoted ``processes → threads → serial``.
+rebuilt once, then the run is demoted ``shards → threads → serial``.
 Because plans are fixed in the parent and exactly one successful
 execution per chunk is merged — crashed, timed-out, and poisoned
 attempts contribute neither results nor counter deltas — retried and
@@ -57,29 +60,20 @@ import time
 from concurrent.futures import BrokenExecutor, Executor, Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro import obs
-from repro.core.anonymity import FrequencyEvaluator, FrequencySet
+from repro.core.anonymity import FrequencyEvaluator, FrequencySet, ScanPlan
 from repro.lattice.node import LatticeNode
 from repro.obs.counters import CounterSet
 from repro.obs.metrics import MetricSet
 from repro.parallel import worker as worker_module
 from repro.parallel.config import ExecutionConfig, current_execution
-from repro.resilience.faults import (
-    InjectedWorkerCrash,
-    PoisonedResultError,
-    apply_worker_fault,
-    poison_payload,
-)
+from repro.resilience.faults import InjectedWorkerCrash, PoisonedResultError
 
-#: A materialisation request: the node plus an optional rollup source.
-Request = "tuple[LatticeNode, FrequencySet | None]"
-
-#: Degradation ladder, in demotion order.  Shards demote straight to
-#: threads (not processes): threads share the parent's memory, so shard
-#: ranged-scan jobs keep running zero-copy with no pool re-shipping.
-_LADDER = {"shards": "threads", "processes": "threads", "threads": "serial"}
+#: Degradation ladder, in demotion order.  Threads share the parent's
+#: memory, so demoted shard ranged-scan jobs keep running zero-copy.
+_LADDER = {"shards": "threads", "threads": "serial"}
 
 
 def _split_chunks(items: list, pieces: int) -> list[list]:
@@ -101,50 +95,18 @@ def _split_chunks(items: list, pieces: int) -> list[list]:
     return chunks
 
 
-def _thread_chunk(
-    problem, chunk, directive=None, submitted_at=None, traceparent=None
-):
-    """Execute one chunk in a worker thread (shared memory, private stats).
-
-    Also the supervised path's serial fallback (with ``directive=None``):
-    executing through a private evaluator and merging the delta keeps the
-    counters bit-identical whichever rung of the ladder did the work.
-    Ships the same chunk telemetry as a process worker, so the ``worker.*``
-    histograms describe the pool uniformly across thread and process modes.
-    The ``worker.chunk`` span is parented explicitly via ``traceparent``
-    (the dispatching ``parallel.batch`` span): pool threads have an empty
-    span stack, and the serial fallback passes None, inheriting the
-    caller's stack instead.
-    """
-    from repro.core.stats import SearchStats
-    from repro.parallel.worker import _note_worker_telemetry
-
-    context = obs.TraceContext.from_traceparent(traceparent)
-    with obs.span_from(context, "worker.chunk", jobs=len(chunk)):
-        apply_worker_fault(directive, in_process=False)
-        chunk_started = time.perf_counter()
-        evaluator = FrequencyEvaluator(problem, SearchStats())
-        out = []
-        for _, node, kind, payload in chunk:
-            out.append(evaluator.execute_job(node, kind, payload))
-        _note_worker_telemetry(
-            evaluator.stats.metrics,
-            num_jobs=len(chunk),
-            chunk_seconds=time.perf_counter() - chunk_started,
-            submitted_at=submitted_at,
-        )
-    result = (out, evaluator.stats.counters, evaluator.stats.metrics)
-    if directive is not None and directive[0] == "poison":
-        result = poison_payload(result)
-    return result
+def _jobs(chunk) -> list[tuple]:
+    """A chunk's ``(node, kind, payload)`` jobs, without their slots."""
+    return [(node, kind, payload) for _, node, kind, payload in chunk]
 
 
 def _ship_chunk(chunk) -> list[tuple]:
     """Explode a chunk's payloads into picklable job tuples for a process.
 
     Rollup sources (:class:`FrequencySet`) are exploded to their two small
-    arrays; plain-tuple payloads — a ``scan_range`` job's ``(start, stop)``
-    row range — are already picklable and pass through unchanged.
+    arrays; plain-tuple payloads — a scan plan, a ``scan_range`` job's
+    ``(start, stop)`` row range — are already picklable and pass through
+    unchanged.
     """
     return [
         (
@@ -163,9 +125,9 @@ def _validate_payload(chunk, payload) -> tuple[list, CounterSet, MetricSet]:
 
     Workers are untrusted under the failure model: a result is only merged
     if it is structurally coherent — a ``(results, counters, metrics)``
-    triple with one well-formed frequency set (object or raw array pair)
-    per job and non-negative counts.  Anything else is treated exactly
-    like a crashed worker: discarded and re-executed.
+    triple with one well-formed ``(key_codes, counts)`` pair per job and
+    non-negative counts.  Anything else is treated exactly like a crashed
+    worker: discarded and re-executed.
     """
     try:
         results, delta, metrics = payload
@@ -186,18 +148,11 @@ def _validate_payload(chunk, payload) -> tuple[list, CounterSet, MetricSet]:
         raise PoisonedResultError(
             f"chunk returned {got} results for {len(chunk)} jobs"
         )
-    for (_, node, _, _), item in zip(chunk, results):
-        if isinstance(item, FrequencySet):
-            key_codes, counts = item.key_codes, item.counts
-            if item.node != node:
-                raise PoisonedResultError(
-                    f"result for {node} labelled {item.node}"
-                )
-        else:
-            try:
-                key_codes, counts = item
-            except (TypeError, ValueError):
-                raise PoisonedResultError("malformed frequency-set payload")
+    for item in results:
+        try:
+            key_codes, counts = item
+        except (TypeError, ValueError):
+            raise PoisonedResultError("malformed frequency-set payload")
         if (
             getattr(key_codes, "ndim", None) != 2
             or getattr(counts, "ndim", None) != 1
@@ -278,21 +233,13 @@ class BatchMaterializer:
                     max_workers=self.execution.workers,
                     thread_name_prefix="repro-fs",
                 )
-            elif self._mode == "shards":
+            else:
                 from concurrent.futures import ProcessPoolExecutor
 
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.execution.workers,
                     initializer=worker_module.init_worker_shared,
                     initargs=(self._ensure_store().handle,),
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.execution.workers,
-                    initializer=worker_module.init_worker,
-                    initargs=(self.problem,),
                 )
         return self._executor
 
@@ -363,40 +310,65 @@ class BatchMaterializer:
     ) -> list[FrequencySet]:
         """Frequency sets for ``requests``, in request order.
 
-        Serial configs (and degenerate batches) take the exact same code
-        path as :meth:`FrequencyEvaluator.materialize`, so the serial
-        fallback has zero parallel machinery in the loop.
+        Serial configs and lone requests run in the parent, one
+        :meth:`FrequencyEvaluator.materialize` call per request (each scan
+        split at ``shard_rows``), so the serial path has no parallel
+        machinery in the loop.  A batch resolves every request first and
+        dispatches the jobs in chunks; under ``shards`` its scans split at
+        ``effective_shard_rows``, and a plan of more than one range fans
+        out as one ``scan_range`` job per range, whose partials and base
+        the parent merges in one call.  Results are admitted to the
+        caches in request order.
         """
         if not self.execution.is_parallel or len(requests) < 2:
+            width = self.execution.shard_rows
             return [
-                evaluator.materialize(node, source)
+                evaluator.materialize(node, source, width)
                 for node, source in requests
             ]
 
-        results: list[FrequencySet | None] = [None] * len(requests)
-        pending = []  # (slot, node, kind, payload); slot is the request
-        # index, or ("shard", index, piece) for one range of a fanned scan
+        fan_out = self._mode == "shards"
+        width = (
+            self.execution.effective_shard_rows
+            if fan_out
+            else self.execution.shard_rows
+        )
+        results: list[Any] = [None] * len(requests)
+        pending: list[tuple] = []  # (slot, node, kind, payload); slot is
+        # the request index, or (index, piece) for one range of a fanned scan
+        fanned: dict[int, tuple[LatticeNode, ScanPlan, list]] = {}
         for index, (node, source) in enumerate(requests):
-            kind, payload = evaluator.resolve_job(node, source)
+            kind, payload = evaluator.resolve_job(node, source, width)
             if kind == "use":
                 results[index] = payload
+            elif kind == "scan" and fan_out and len(payload.ranges) > 1:
+                fanned[index] = (node, payload, [None] * len(payload.ranges))
+                pending.extend(
+                    ((index, piece), node, "scan_range", bounds)
+                    for piece, bounds in enumerate(payload.ranges)
+                )
             else:
                 pending.append((index, node, kind, payload))
-        shard_plan: dict[int, int] = {}  # request index → piece count
-        # request index → (piece count, remembered base-prefix payload)
-        delta_plan: dict[int, tuple[int, tuple]] = {}
-        if self._mode == "shards":
-            pending = self._expand_shard_scans(pending, shard_plan)
-            pending = self._expand_delta_scans(pending, delta_plan)
-        if len(pending) <= 1 and not shard_plan and not delta_plan:
+        computed = [index for index, result in enumerate(results) if result is None]
+        if len(pending) <= 1:
             # Nothing (or a single job) survived the cache: dispatching to
             # a pool would cost more than the work.
             for index, node, kind, payload in pending:
-                result = evaluator.execute_job(node, kind, payload)
-                evaluator.cache_put(result)
-                results[index] = result
-            return results
+                results[index] = evaluator.execute_job(node, kind, payload)
+        else:
+            self._dispatch_batch(evaluator, pending, results, fanned)
+        for index in computed:
+            evaluator.cache_put(results[index])
+        return results
 
+    def _dispatch_batch(
+        self,
+        evaluator: FrequencyEvaluator,
+        pending: list,
+        results: list,
+        fanned: dict[int, tuple[LatticeNode, ScanPlan, list]],
+    ) -> None:
+        """Run ``pending`` on the pool; fill ``results`` in request order."""
         chunks = _split_chunks(pending, self.execution.workers)
         with obs.span(
             "parallel.batch",
@@ -408,13 +380,6 @@ class BatchMaterializer:
             self._batch_traceparent = sp.traceparent() if sp else None
             payloads = self._dispatch_supervised(evaluator, chunks)
             merge_seconds = 0.0
-            shard_partials: dict[int, list] = {
-                index: [None] * count for index, count in shard_plan.items()
-            }
-            delta_partials: dict[int, list] = {
-                index: [None] * count
-                for index, (count, _) in delta_plan.items()
-            }
             for chunk, (chunk_results, delta, metrics_delta) in zip(
                 chunks, payloads
             ):
@@ -422,203 +387,22 @@ class BatchMaterializer:
                 evaluator.stats.counters += delta
                 evaluator.stats.metrics += metrics_delta
                 for (slot, node, _, _), item in zip(chunk, chunk_results):
-                    if isinstance(slot, tuple):
-                        family, index, piece = slot
-                        if isinstance(item, FrequencySet):
-                            item = (item.key_codes, item.counts)
-                        partial_store = (
-                            shard_partials
-                            if family == "shard"
-                            else delta_partials
-                        )
-                        partial_store[index][piece] = item
-                        continue
-                    if isinstance(item, FrequencySet):
-                        result = item
+                    if isinstance(slot, int):
+                        results[slot] = FrequencySet(node, *item, self.problem)
                     else:
-                        key_codes, counts = item
-                        result = FrequencySet(
-                            node, key_codes, counts, self.problem
-                        )
-                    evaluator.cache_put(result)
-                    results[slot] = result
+                        index, piece = slot
+                        fanned[index][2][piece] = item
                 merge_seconds += time.perf_counter() - merge_started
-            for index, partials in shard_partials.items():
-                result = self._merge_shard_partials(
-                    evaluator, requests[index][0], partials
+            for index, (node, plan, partials) in fanned.items():
+                results[index] = evaluator.finish_scan(
+                    node, partials, plan.base, split=True
                 )
-                evaluator.cache_put(result)
-                results[index] = result
-            for index, partials in delta_partials.items():
-                result = self._merge_delta_partials(
-                    evaluator, requests[index][0], delta_plan[index][1],
-                    partials,
-                )
-                evaluator.cache_put(result)
-                results[index] = result
             if sp:
                 sp.set(final_mode=self._mode)
-
         stats = evaluator.stats
         stats.parallel_tasks += len(chunks)
         stats.parallel_workers = self.execution.workers
         stats.parallel_merge_seconds += merge_seconds
-        return results
-
-    # ------------------------------------------------------------------
-    # shard fan-out (the `shards` execution mode)
-    # ------------------------------------------------------------------
-    def _expand_shard_scans(
-        self, pending: list, shard_plan: dict[int, int]
-    ) -> list:
-        """Fan each planned ``scan`` out over the table's row shards.
-
-        Rollup jobs pass through untouched — their inputs are already
-        small.  A table that fits in a single shard (or is empty) is not
-        fanned out either; the plain scan path handles it.  Fanned
-        entries carry ``("shard", request_index, piece)`` slots so the
-        merge phase can reassemble partials in deterministic piece order,
-        and ``shard_plan`` records the piece count per fanned request.
-        """
-        ranges = self._shard_ranges()
-        if len(ranges) <= 1:
-            return pending
-        expanded = []
-        for entry in pending:
-            index, node, kind, payload = entry
-            if kind != "scan":
-                expanded.append(entry)
-                continue
-            shard_plan[index] = len(ranges)
-            for piece, bounds in enumerate(ranges):
-                expanded.append(
-                    (("shard", index, piece), node, "scan_range", bounds)
-                )
-        return expanded
-
-    def _shard_ranges(self) -> list[tuple[int, int]]:
-        from repro.shard.shm import plan_shards
-
-        return plan_shards(
-            self.problem.table.num_rows, self.execution.effective_shard_rows
-        )
-
-    def _expand_delta_scans(
-        self, pending: list, delta_plan: dict[int, tuple[int, tuple]]
-    ) -> list:
-        """Fan a ``delta`` plan's appended-row suffix over row shards.
-
-        The remembered base prefix stays in the parent (``delta_plan``
-        keeps its payload for the merge phase); only the un-covered suffix
-        ``[start, num_rows)`` is split into ``scan_range`` jobs.  A suffix
-        that fits one shard is not fanned out — the whole ``delta`` job
-        ships to a worker, which performs the scan *and* the base merge
-        itself.  Fanned entries carry ``("delta", request_index, piece)``
-        slots, mirroring the shard fan-out.
-        """
-        expanded = []
-        for entry in pending:
-            index, node, kind, payload = entry
-            if kind != "delta":
-                expanded.append(entry)
-                continue
-            _, _, start = payload
-            ranges = self._delta_ranges(start)
-            if len(ranges) <= 1:
-                expanded.append(entry)
-                continue
-            delta_plan[index] = (len(ranges), payload)
-            for piece, bounds in enumerate(ranges):
-                expanded.append(
-                    (("delta", index, piece), node, "scan_range", bounds)
-                )
-        return expanded
-
-    def _delta_ranges(self, start: int) -> list[tuple[int, int]]:
-        from repro.shard.shm import plan_shards
-
-        num_rows = self.problem.table.num_rows
-        return [
-            (start + lo, start + hi)
-            for lo, hi in plan_shards(
-                num_rows - start, self.execution.effective_shard_rows
-            )
-        ]
-
-    def _merge_shard_partials(
-        self, evaluator: FrequencyEvaluator, node, partials: list
-    ) -> FrequencySet:
-        """Fold one node's per-shard partials into its exact frequency set.
-
-        COUNT is distributive and the re-group sorts by the same dense
-        key as a direct scan, so the merged set is bit-identical to a
-        whole-table scan.  The *merged* result is what the run's scan
-        accounting describes: one ``frequency.table_scans`` increment and
-        one frequency-set observation, exactly as a serial run would
-        record — the shard work itself lives under ``shard.*``.
-        """
-        from repro.core.outofcore import merge_partials
-
-        radices = [
-            self.problem.hierarchy(attribute).cardinality(level)
-            for attribute, level in node.items()
-        ]
-        merge_started = time.perf_counter()
-        key_codes, counts = merge_partials(
-            [keys for keys, _ in partials],
-            [piece_counts for _, piece_counts in partials],
-            radices,
-        )
-        result = FrequencySet(node, key_codes, counts, self.problem)
-        stats = evaluator.stats
-        stats.shard_merges += 1
-        stats.shard_merge_seconds += time.perf_counter() - merge_started
-        stats.table_scans += 1
-        stats.note_frequency_set(result.num_groups)
-        return result
-
-    def _merge_delta_partials(
-        self,
-        evaluator: FrequencyEvaluator,
-        node: LatticeNode,
-        base: tuple,
-        partials: list,
-    ) -> FrequencySet:
-        """Fold the remembered prefix and per-shard delta partials exactly.
-
-        The shards-mode counterpart of
-        :meth:`FrequencyEvaluator.delta_scan`: the base prefix set joins
-        the fanned-out suffix partials in one distributive COUNT merge,
-        and the merged result accounts identically — one
-        ``frequency.table_scans``, one frequency-set observation, and the
-        same ``incremental.*`` deltas a serial delta scan records — so
-        both counter families stay independent of the execution mode.
-        """
-        from repro.core.outofcore import merge_partials
-
-        base_keys, base_counts, start = base
-        radices = [
-            self.problem.hierarchy(attribute).cardinality(level)
-            for attribute, level in node.items()
-        ]
-        merge_started = time.perf_counter()
-        key_codes, counts = merge_partials(
-            [base_keys, *(keys for keys, _ in partials)],
-            [base_counts, *(counts_ for _, counts_ in partials)],
-            radices,
-        )
-        result = FrequencySet(node, key_codes, counts, self.problem)
-        stats = evaluator.stats
-        stats.metrics.observe(
-            "latency.delta_merge_seconds", time.perf_counter() - merge_started
-        )
-        num_rows = self.problem.table.num_rows
-        stats.incremental_delta_scans += 1
-        stats.incremental_delta_rows_scanned += num_rows - start
-        stats.incremental_base_rows_reused += start
-        stats.table_scans += 1
-        stats.note_frequency_set(result.num_groups)
-        return result
 
     # ------------------------------------------------------------------
     # supervised dispatch (retry / degrade ladder)
@@ -684,9 +468,9 @@ class BatchMaterializer:
         submitted_at = time.monotonic()
         if self._mode == "threads":
             state.future = executor.submit(
-                _thread_chunk,
+                worker_module.execute_chunk,
                 self.problem,
-                state.chunk,
+                _jobs(state.chunk),
                 directive,
                 submitted_at,
                 self._batch_traceparent,
@@ -720,8 +504,13 @@ class BatchMaterializer:
         metrics = evaluator.stats.metrics
         while True:
             if self._mode == "serial" or state.serial_fallback:
+                # The bottom rung: in the parent, through a private
+                # evaluator whose delta merges like any worker's.
                 return _validate_payload(
-                    state.chunk, _thread_chunk(self.problem, state.chunk)
+                    state.chunk,
+                    worker_module.execute_chunk(
+                        self.problem, _jobs(state.chunk)
+                    ),
                 )
             future = state.future
             if future is None:
@@ -802,7 +591,7 @@ class BatchMaterializer:
     ) -> None:
         """Walk the ladder after pool breakage and re-dispatch pending work.
 
-        The first breakage of a process pool earns one rebuild
+        The first breakage of the shard process pool earns one rebuild
         (``fault.pool_rebuilds``); any further breakage — or breakage of a
         thread pool — demotes the whole run one rung
         (``fault.demotions``).  Chunks whose futures died with the pool
@@ -812,7 +601,7 @@ class BatchMaterializer:
         """
         counters = evaluator.stats.counters
         self._drop_executor(wait=False)
-        if self._mode in ("processes", "shards") and not self._pool_rebuilt:
+        if self._mode == "shards" and not self._pool_rebuilt:
             self._pool_rebuilt = True
             counters.incr("fault.pool_rebuilds")
         elif self._mode in _LADDER:

@@ -1,10 +1,16 @@
-"""Process-pool worker side of :mod:`repro.parallel`.
+"""Worker side of :mod:`repro.parallel`: one chunk of jobs at a time.
 
-A :class:`~concurrent.futures.ProcessPoolExecutor` worker is initialised
-exactly once with the prepared problem — the dictionary-encoded column
-arrays plus compiled hierarchy lookup tables — via :func:`init_worker`;
-after that, each :func:`run_chunk` call ships only lattice nodes and (for
-rollup jobs) the source set's two small arrays, never the base table.
+:func:`execute_chunk` runs a chunk of ``(node, kind, payload)`` jobs
+through a private :class:`~repro.core.anonymity.FrequencyEvaluator`, in a
+pool thread (``threads``), in the parent (the supervised path's serial
+fallback), or in a ``shards`` worker process via :func:`run_chunk`.
+
+A ``shards`` worker is initialised once by :func:`init_worker_shared`
+with a small :class:`~repro.shard.shm.SharedProblemHandle`; the problem it
+rebuilds reads the QI code arrays zero-copy from the parent's
+shared-memory segments.  After that, each :func:`run_chunk` call ships
+only lattice nodes, scan plans and row ranges, and (for rollup jobs) the
+source set's two small arrays — never the base table.
 
 Results come back as raw ``(key_codes, counts)`` array pairs together with
 the chunk's :class:`~repro.obs.counters.CounterSet` stats delta and its
@@ -25,6 +31,7 @@ import time
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
+    from repro.core.problem import PreparedTable
     from repro.obs.counters import CounterSet
     from repro.obs.metrics import MetricSet
 
@@ -32,11 +39,19 @@ if TYPE_CHECKING:
 #: initializer.  Module-global on purpose: executor task functions must be
 #: importable top-level callables, and the problem must not be re-pickled
 #: per task.
-_PROBLEM = None
+_PROBLEM: "PreparedTable | None" = None
 
 
-def init_worker(problem) -> None:
-    """Pool initializer: install the shipped problem in this process.
+def init_worker_shared(handle) -> None:
+    """Pool initializer: attach the shared problem in this process.
+
+    ``handle`` is a :class:`repro.shard.shm.SharedProblemHandle` — segment
+    names, dtypes, shapes, dictionaries, and compiled hierarchies.  The
+    rebuilt problem's code arrays are read-only views into the parent's
+    shared-memory segments, so initialising a worker costs a few mmaps
+    instead of unpickling the whole table.  Workers never ``unlink``; the
+    owning :class:`~repro.shard.shm.SharedTableStore` does that once the
+    pool has shut down.
 
     Also replaces the tracer: under the ``fork`` start method the worker
     inherits the parent's active tracer, and concurrent writes to an
@@ -48,16 +63,18 @@ def init_worker(problem) -> None:
     disabled and the only signal leaving a worker is the per-chunk
     counter delta, which the parent merges deterministically.
     """
-    # ra: RA003 -- sanctioned worker-resident state: the problem is shipped
-    # once via the pool initializer and is read-only thereafter; shipping it
-    # per-chunk would serialize the table on every submit.
-    global _PROBLEM
-    _PROBLEM = problem
     import os
     from pathlib import Path
 
     from repro import obs
     from repro.obs.trace import Tracer
+    from repro.shard.shm import attach_problem
+
+    # ra: RA003 -- sanctioned worker-resident state: the problem is attached
+    # once via the pool initializer and is read-only thereafter; shipping it
+    # per-chunk would serialize the table on every submit.
+    global _PROBLEM
+    _PROBLEM = attach_problem(handle)
 
     trace_dir = os.environ.get(obs.TRACE_DIR_ENV)
     if trace_dir:
@@ -70,22 +87,6 @@ def init_worker(problem) -> None:
         )
     else:
         obs.set_tracer(Tracer(enabled=False))
-
-
-def init_worker_shared(handle) -> None:
-    """Pool initializer for the ``shards`` mode: attach, don't copy.
-
-    ``handle`` is a :class:`repro.shard.shm.SharedProblemHandle` — segment
-    names, dtypes, shapes, dictionaries, and compiled hierarchies.  The
-    rebuilt problem's code arrays are read-only views into the parent's
-    shared-memory segments, so initialising a worker costs a few mmaps
-    instead of unpickling the whole table.  Workers never ``unlink``; the
-    owning :class:`~repro.shard.shm.SharedTableStore` does that once the
-    pool has shut down.
-    """
-    from repro.shard.shm import attach_problem
-
-    init_worker(attach_problem(handle))
 
 
 def _peak_rss_bytes() -> float | None:
@@ -138,98 +139,101 @@ def _note_worker_telemetry(
         metrics.observe("worker.rss_bytes", rss_bytes)
 
 
-def run_chunk(
-    jobs: Sequence[tuple[Any, str, tuple | None]],
+def execute_chunk(
+    problem,
+    jobs: Sequence[tuple[Any, str, Any]],
     directive: tuple[str, float] | None = None,
     submitted_at: float | None = None,
     traceparent: str | None = None,
+    *,
+    in_process: bool = False,
 ) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
-    """Materialise one chunk of frequency-set jobs in a worker process.
+    """Run one chunk of jobs through a private evaluator.
 
-    ``jobs`` entries are ``(node, kind, payload)`` with kind ``"scan"``
-    (payload None), ``"rollup"`` (payload is the source set exploded to
-    ``(source_node, key_codes, counts)``), ``"scan_range"`` (payload is
-    a ``(start, stop)`` row range — one shard of a fanned-out scan, whose
-    partial result the parent merges exactly), or ``"delta"`` (payload is
-    a remembered ``(base_keys, base_counts, start)`` prefix frequency set
-    — scan only rows ``[start, end)`` and fold the prefix in with the
-    exact COUNT merge; see ``repro.incremental``).  Returns the materialised
-    ``(key_codes, counts)`` pairs in job order plus this chunk's stats
-    delta and metrics delta.
+    ``jobs`` entries are ``(node, kind, payload)`` as
+    :meth:`~repro.core.anonymity.FrequencyEvaluator.execute_job` takes
+    them.  Returns the ``(key_codes, counts)`` pairs in job order plus
+    this chunk's stats delta and metrics delta.
 
     ``submitted_at`` is the parent's ``time.monotonic`` reading at submit
     time, used for the ``worker.queue_wait_seconds`` observation.
 
     ``traceparent`` is the dispatching ``parallel.batch`` span's trace
-    position; when tracing is enabled in this process (see
-    :func:`init_worker`) the chunk executes under a ``worker.chunk`` span
-    parented there, flushed to this worker's own trace file before the
-    result ships.  Span output never rides the chunk-result channel —
-    the returned counter delta stays bit-identical whether or not
-    tracing is on, preserving the ``frequency.*`` determinism contract.
+    position: the chunk executes under a ``worker.chunk`` span parented
+    there (pool threads have an empty span stack; the serial fallback
+    passes None and inherits the caller's stack instead).  Span output
+    never rides the chunk-result channel — the returned counter delta
+    stays bit-identical whether or not tracing is on, preserving the
+    ``frequency.*`` determinism contract.
 
     ``directive`` is a pre-drawn fault-injection order from the parent's
     :class:`~repro.resilience.faults.FaultPlan` (crash/stall before doing
-    any work, or poison the payload after).  A crashed or stalled-out
-    chunk therefore never contributes a partial counter delta — the
-    supervised retry re-executes the whole chunk, so merged ``frequency.*``
-    counters stay bit-identical to a fault-free run.
+    any work, or poison the payload after; ``in_process`` says a crash
+    may kill this process).  A crashed or stalled-out chunk therefore
+    never contributes a partial counter delta — the supervised retry
+    re-executes the whole chunk, so merged ``frequency.*`` counters stay
+    bit-identical to a fault-free run.
     """
     from repro import obs
-    from repro.core.anonymity import FrequencyEvaluator, FrequencySet
+    from repro.core.anonymity import FrequencyEvaluator
     from repro.core.stats import SearchStats
     from repro.resilience.faults import apply_worker_fault, poison_payload
 
-    # ra: RA003 -- read of the initializer-installed problem (see above);
-    # never mutated after init_worker, so chunk results stay deterministic.
-    if _PROBLEM is None:
-        raise RuntimeError("worker used before init_worker installed a problem")
     context = obs.TraceContext.from_traceparent(traceparent)
     with obs.span_from(context, "worker.chunk", jobs=len(jobs)):
-        apply_worker_fault(directive, in_process=True)
+        apply_worker_fault(directive, in_process=in_process)
         chunk_started = time.perf_counter()
-        evaluator = FrequencyEvaluator(_PROBLEM, SearchStats())
-        out: list[tuple] = []
+        evaluator = FrequencyEvaluator(problem, SearchStats())
+        out = []
         for node, kind, payload in jobs:
-            if kind == "scan":
-                result = evaluator.scan(node)
-            elif kind == "rollup":
-                if payload is None:
-                    raise ValueError(
-                        "rollup job shipped without a source payload"
-                    )
-                source_node, key_codes, counts = payload
-                source = FrequencySet(source_node, key_codes, counts, _PROBLEM)
-                result = evaluator.rollup(source, node)
-            elif kind == "scan_range":
-                if payload is None:
-                    raise ValueError(
-                        "scan_range job shipped without a row range"
-                    )
-                start, stop = payload
-                result = evaluator.scan_range(node, start, stop)
-            elif kind == "delta":
-                if payload is None:
-                    raise ValueError(
-                        "delta job shipped without a base prefix set"
-                    )
-                base_keys, base_counts, start = payload
-                result = evaluator.delta_scan(
-                    node, base_keys, base_counts, start
-                )
-            else:
-                raise ValueError(f"unknown job kind {kind!r}")
-            out.append((result.key_codes, result.counts))
+            frequency_set = evaluator.execute_job(node, kind, payload)
+            out.append((frequency_set.key_codes, frequency_set.counts))
         _note_worker_telemetry(
             evaluator.stats.metrics,
             num_jobs=len(jobs),
             chunk_seconds=time.perf_counter() - chunk_started,
             submitted_at=submitted_at,
         )
-    # Land the span before the result ships: a worker that is killed
-    # between chunks must not lose spans for chunks it completed.
-    obs.flush()
-    payload_out = (out, evaluator.stats.counters, evaluator.stats.metrics)
+    result = (out, evaluator.stats.counters, evaluator.stats.metrics)
     if directive is not None and directive[0] == "poison":
-        payload_out = poison_payload(payload_out)
-    return payload_out
+        result = poison_payload(result)
+    return result
+
+
+def run_chunk(
+    jobs: Sequence[tuple[Any, str, Any]],
+    directive: tuple[str, float] | None = None,
+    submitted_at: float | None = None,
+    traceparent: str | None = None,
+) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
+    """:func:`execute_chunk` in a ``shards`` worker process.
+
+    A rollup job's source set arrives exploded to ``(source_node,
+    key_codes, counts)`` and is rebuilt against the worker-resident
+    problem.  The chunk's spans land in this worker's own trace file (see
+    :func:`init_worker_shared`) before the result ships, so a worker
+    killed between chunks loses no spans for chunks it completed.
+    """
+    from repro import obs
+    from repro.core.anonymity import FrequencySet
+
+    # ra: RA003 -- read of the initializer-installed problem (see above);
+    # never mutated after init_worker_shared, so results stay deterministic.
+    problem = _PROBLEM
+    if problem is None:
+        raise RuntimeError("worker used before its pool initializer ran")
+    jobs = [
+        (
+            node,
+            kind,
+            FrequencySet(*payload, problem)
+            if kind == "rollup" and payload is not None
+            else payload,
+        )
+        for node, kind, payload in jobs
+    ]
+    result = execute_chunk(
+        problem, jobs, directive, submitted_at, traceparent, in_process=True
+    )
+    obs.flush()
+    return result

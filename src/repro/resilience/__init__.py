@@ -11,7 +11,7 @@ long-running, production-scale k-anonymization:
 * the supervised batch path in :mod:`repro.parallel.evaluator` consumes
   the plan and survives real or injected failures through bounded retries
   with backoff and a graceful-degradation ladder (rebuild the pool once,
-  then demote processes → threads → serial) — with bit-identical results
+  then demote shards → threads → serial) — with bit-identical results
   and ``frequency.*`` counters, failures accounted under ``fault.*`` /
   ``retry.*``;
 * :mod:`~repro.resilience.checkpoint` — level-granular checkpoint/resume

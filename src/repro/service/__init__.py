@@ -41,7 +41,6 @@ from repro.service.connectors import (
 )
 from repro.service.jobs import (
     JOB_ALGORITHMS,
-    JOB_MODES,
     TERMINAL_STATES,
     AdmissionError,
     JobRecord,
@@ -54,7 +53,6 @@ from repro.service.wal import JobStore
 
 __all__ = [
     "JOB_ALGORITHMS",
-    "JOB_MODES",
     "TERMINAL_STATES",
     "AdmissionError",
     "ConnectorError",

@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro.parallel.config import MODES
+
 #: Job states (see the module docstring for the transition diagram).
 QUEUED = "queued"
 RUNNING = "running"
@@ -53,9 +55,6 @@ ALL_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 #: which has no level-synchronous structure to checkpoint — a service job
 #: must be resumable by construction).
 JOB_ALGORITHMS = ("basic", "superroots", "cube", "binary", "bottomup")
-
-#: Execution modes a job may request for its runner subprocess.
-JOB_MODES = ("serial", "threads", "processes", "shards")
 
 
 class JobValidationError(ValueError):
@@ -95,9 +94,9 @@ class JobSpec:
             raise JobValidationError(
                 f"algorithm must be one of {JOB_ALGORITHMS}, got {self.algorithm!r}"
             )
-        if self.mode not in JOB_MODES:
+        if self.mode not in MODES:
             raise JobValidationError(
-                f"mode must be one of {JOB_MODES}, got {self.mode!r}"
+                f"mode must be one of {MODES}, got {self.mode!r}"
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise JobValidationError(

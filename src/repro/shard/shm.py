@@ -1,14 +1,10 @@
 """Shared-memory backing for prepared tables (zero-copy shard evaluation).
 
-Process-pool evaluation previously shipped the whole
-:class:`~repro.core.problem.PreparedTable` — dictionary-encoded code
-arrays plus compiled hierarchies — to every worker through the pool
-initializer, paying one pickled copy of the base table per process.  At
-the paper's full Lands End scale (4,591,581 rows × 8 QI columns) that
-serialization tax dominates start-up and multiplies peak RSS by the
-worker count.
-
-This module removes the copies: the QI code arrays live in named
+Worker processes (the ``shards`` execution mode) never receive a pickled
+copy of the :class:`~repro.core.problem.PreparedTable`; at the paper's
+full Lands End scale (4,591,581 rows × 8 QI columns) one copy per worker
+would dominate start-up and multiply peak RSS by the worker count.
+Instead the QI code arrays live in named
 :mod:`multiprocessing.shared_memory` segments, and workers receive a
 small picklable :class:`SharedProblemHandle` — segment names, dtypes,
 shapes, dictionaries, compiled hierarchies — from which

@@ -35,8 +35,13 @@ class TestExecutionConfig:
         assert not ExecutionConfig.from_workers(None).is_parallel
         assert not ExecutionConfig.from_workers(1).is_parallel
         config = ExecutionConfig.from_workers(3)
-        assert config.mode == "processes" and config.workers == 3
+        assert config.mode == "shards" and config.workers == 3
         assert ExecutionConfig.from_workers(2, "threads").mode == "threads"
+
+    def test_processes_is_an_alias_for_shards(self):
+        config = ExecutionConfig(mode="processes", workers=3)
+        assert config.mode == "shards" and config.workers == 3
+        assert ExecutionConfig.from_workers(3, "processes") == config
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.core.anonymity import compute_frequency_set_range
 from repro.parallel import worker
+from repro.shard import SharedTableStore
 from tests.conftest import tiny_numeric_problem
 
 
@@ -61,16 +62,18 @@ class TestPeakRssBytes:
 
 @pytest.fixture
 def installed_problem():
-    """Install a problem in this process's worker slot, restoring after."""
+    """Attach a shared problem in this process's worker slot, restoring after."""
     previous_problem = worker._PROBLEM
     previous_tracer = obs.get_tracer()
     problem = tiny_numeric_problem()
-    worker.init_worker(problem)
+    store = SharedTableStore.from_problem(problem)
     try:
+        worker.init_worker_shared(store.handle)
         yield problem
     finally:
         worker._PROBLEM = previous_problem
         obs.set_tracer(previous_tracer)
+        store.close()
 
 
 class TestRunChunkScanRange:
