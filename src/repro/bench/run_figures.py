@@ -84,8 +84,8 @@ QUICK_ROWS = 1_500
 QUICK_QI_SIZES = (3, 4)
 QUICK_K = 2
 
-#: The ``--quick`` shard workload: small enough for CI, big enough that the
-#: scan fans out over several shards per worker.
+#: The ``--quick`` shard workload: small enough for CI, big enough that
+#: every scan loops over several row ranges in its worker.
 QUICK_SHARD_ROWS = 6_000
 QUICK_SHARD_WIDTH = 1_024
 QUICK_SHARD_WORKERS = 2

@@ -209,10 +209,10 @@ def shard_scale_sweep(
     Builds the Lands End problem once, streamed straight into shared
     memory, then times "Basic Incognito" twice over the *same* problem:
     serially and under the ``shards`` execution mode (``workers``
-    processes attaching the segments zero-copy, scans fanned out in
-    ``shard_rows``-row shards).  The results are bit-identical by
-    construction — this workload records the speedup, and the bench
-    regression gate holds it.
+    processes attaching the segments zero-copy, each scan looping over
+    ``shard_rows``-row ranges in its worker, one range when None).  The
+    results are bit-identical by construction — this workload records the
+    speedup, and the bench regression gate holds it.
     """
     num_rows = rows if rows is not None else landsend_rows()
     problem = landsend_problem_shm(num_rows, qi_size=qi_size)

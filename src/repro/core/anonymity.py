@@ -326,18 +326,28 @@ class FrequencyEvaluator:
         :meth:`plan_scan`).  A plan's ranges run in a loop that folds every
         :data:`~repro.core.outofcore.MERGE_FAN_IN` partial sets into one,
         so a plan of many small ranges holds at most that many partials at
-        once (the out-of-core scan), and :meth:`finish_scan` merges what is
-        left with the base.
+        once (the out-of-core scan).  What is left merges with the base in
+        one exact COUNT merge (:func:`~repro.core.outofcore.merge_partials`);
+        one partial and no base is already the answer.  Because dictionary
+        and level codes are prefix-stable under appends, a merged base is
+        as exact as a rescan of its rows.
+
+        The plan is accounted once, as one ``frequency.table_scans`` plus
+        one frequency-set observation whatever its ranges, so those
+        surfaces match a whole-table scan.  A base adds the
+        ``incremental.*`` delta counters (rows scanned, rows reused) and
+        the ``latency.delta_merge_seconds`` timing of its merge.
         """
         if plan is None:
             plan = self.plan_scan()
         ranges, base = plan
         split = len(ranges) > 1
+        stats = self.stats
         with obs.span("scan") as sp:
             if split:
                 partials = self._scan_ranges(node, ranges)
             else:
-                metrics = self.stats.metrics
+                metrics = stats.metrics
                 timer = (
                     metrics.timer("latency.scan_seconds")
                     if base is None
@@ -348,7 +358,24 @@ class FrequencyEvaluator:
                         self.problem, node, *ranges[0]
                     )
                 partials = [(partial.key_codes, partial.counts)]
-            result = self.finish_scan(node, partials, base, split=split)
+            if base is not None:
+                partials = [base[:2], *partials]
+            if len(partials) == 1:
+                key_codes, counts = partials[0]
+            elif base is None:
+                key_codes, counts = self._merge(node, partials, split=split)
+            else:
+                with stats.metrics.timer("latency.delta_merge_seconds"):
+                    key_codes, counts = self._merge(node, partials, split=split)
+            result = FrequencySet(node, key_codes, counts, self.problem)
+            if base is not None:
+                stats.incremental_delta_scans += 1
+                stats.incremental_delta_rows_scanned += (
+                    self.problem.num_rows - plan.start
+                )
+                stats.incremental_base_rows_reused += plan.start
+            stats.table_scans += 1
+            stats.note_frequency_set(result.num_groups)
             if sp:
                 sp.set(
                     node=str(node),
@@ -393,80 +420,12 @@ class FrequencyEvaluator:
                 partials = [self._merge(node, partials, split=True)]
         return partials
 
-    def scan_range(
-        self, node: LatticeNode, start: int, stop: int
-    ) -> FrequencySet:
-        """Partial scan of rows ``[start, stop)``: one range of a split plan.
-
-        The job a shard worker runs for a plan fanned out over ranges.
-        Deliberately does **not** touch the ``frequency.*`` counters or the
-        ``dist.*`` metrics: a ranged scan produces a *partial* set, and
-        :meth:`finish_scan` accounts the plan's one table scan when the
-        partials are merged — keeping those surfaces bit-identical to a
-        serial whole-table scan.  The range itself is visible under the
-        ``shard.*`` namespace.
-        """
-        with obs.span("scan", kind="range") as sp:
-            result = self._scan_range(node, start, stop)
-            if sp:
-                sp.set(
-                    node=str(node),
-                    rows_scanned=stop - start,
-                    groups=result.num_groups,
-                )
-        return result
-
     def _scan_range(self, node: LatticeNode, start: int, stop: int) -> FrequencySet:
         with self.stats.metrics.timer("shard.range_seconds"):
             result = compute_frequency_set_range(self.problem, node, start, stop)
         self.stats.shard_range_scans += 1
         self.stats.shard_rows_scanned += stop - start
         self.stats.metrics.observe("shard.rows_per_range", stop - start)
-        return result
-
-    def finish_scan(
-        self,
-        node: LatticeNode,
-        partials: Sequence[tuple[np.ndarray, np.ndarray]],
-        base: tuple[np.ndarray, np.ndarray, int] | None = None,
-        *,
-        split: bool = False,
-    ) -> FrequencySet:
-        """Merge a scan plan's partials and base into ``node``'s frequency set.
-
-        Every table scan ends here, whether its ranges ran in the loop of
-        :meth:`scan` or on shard workers.  ``partials`` are ``(key_codes,
-        counts)`` pairs; ``split`` says the plan had more than one range.
-        One partial and no base is already the answer and is returned
-        unmerged; anything else folds in one exact COUNT merge
-        (:func:`~repro.core.outofcore.merge_partials`).  Because dictionary
-        and level codes are prefix-stable under appends, a merged base is
-        as exact as a rescan of its rows.
-
-        The plan is accounted once, as one ``frequency.table_scans`` plus
-        one frequency-set observation whatever its ranges, so those
-        surfaces match a serial whole-table scan.  A base adds the
-        ``incremental.*`` delta counters (rows scanned, rows reused) and
-        the ``latency.delta_merge_seconds`` timing of its merge.
-        """
-        if base is not None:
-            partials = [base[:2], *partials]
-        if len(partials) == 1:
-            key_codes, counts = partials[0]
-        elif base is None:
-            key_codes, counts = self._merge(node, partials, split=split)
-        else:
-            with self.stats.metrics.timer("latency.delta_merge_seconds"):
-                key_codes, counts = self._merge(node, partials, split=split)
-        result = FrequencySet(node, key_codes, counts, self.problem)
-        stats = self.stats
-        if base is not None:
-            covered = base[2]
-            stats.incremental_delta_scans += 1
-            stats.incremental_delta_rows_scanned += self.problem.num_rows - covered
-            stats.incremental_base_rows_reused += covered
-        stats.table_scans += 1
-        stats.note_frequency_set(result.num_groups)
         return result
 
     def _merge(
@@ -607,12 +566,7 @@ class FrequencyEvaluator:
         return ("scan", self.plan_scan(width=width))
 
     def execute_job(self, node: LatticeNode, kind: str, payload) -> FrequencySet:
-        """Carry out a plan from :meth:`resolve_job` (no cache admission).
-
-        Besides the planned kinds, ``"scan_range"`` runs one ``(start,
-        stop)`` range of a split scan plan: the job the parallel evaluator
-        sends to shard workers.
-        """
+        """Carry out a plan from :meth:`resolve_job` (no cache admission)."""
         if payload is None:
             raise ValueError(f"{kind!r} job has no payload")
         if kind == "use":
@@ -621,8 +575,6 @@ class FrequencyEvaluator:
             return self.rollup(payload, node)
         if kind == "scan":
             return self.scan(node, payload)
-        if kind == "scan_range":
-            return self.scan_range(node, *payload)
         raise ValueError(f"unknown frequency-set job kind {kind!r}")
 
     def cache_put(self, frequency_set: FrequencySet) -> None:
@@ -657,8 +609,8 @@ class FrequencyEvaluator:
 
         The serial convenience wrapper over resolve → execute → admit; the
         parallel evaluator performs the same three steps with the middle
-        one fanned out across workers.  ``width`` is as for
-        :meth:`resolve_job`.
+        one on workers, one whole job (a scan plan and all its ranges) at
+        a time.  ``width`` is as for :meth:`resolve_job`.
         """
         kind, payload = self.resolve_job(node, source, width)
         result = self.execute_job(node, kind, payload)

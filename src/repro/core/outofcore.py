@@ -11,9 +11,11 @@ Every table scan is a plan of row ranges
 set only takes narrow ranges: ``ExecutionConfig(shard_rows=w)`` splits
 every scan every ``w`` rows, and
 :meth:`~repro.core.anonymity.FrequencyEvaluator.scan` runs the ranges in a
-loop that folds every :data:`MERGE_FAN_IN` partials.  Peak extra memory is
-then one range's keys plus at most that many partial frequency sets (the
-classic hash-aggregation-with-spill pattern, minus the spill, since merged
+loop that folds every :data:`MERGE_FAN_IN` partials, in every execution
+mode, inside whichever job holds the scan (in the parent, a pool thread or
+a shard worker).  Peak extra memory per running job is then one range's
+keys plus at most that many partial frequency sets (the classic
+hash-aggregation-with-spill pattern, minus the spill, since merged
 frequency sets are the small side), instead of whole-column key arrays.
 :func:`chunked_incognito` is Basic Incognito run that way.
 

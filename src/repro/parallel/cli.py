@@ -37,8 +37,8 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["threads", "processes", "shards"],
         default="shards",
         help="worker backend when --workers > 1 (default: shards, worker "
-        "processes that attach the table in shared memory and fan each "
-        "table scan out over row ranges; threads avoid process start-up "
+        "processes that attach the table in shared memory and each run "
+        "whole scan and rollup jobs; threads avoid process start-up "
         "cost on small tables; processes is an alias for shards)",
     )
     parser.add_argument(
@@ -46,9 +46,9 @@ def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="width of a table scan's row ranges, in every mode; without "
-        "--workers it gives the out-of-core scan, N rows at a time "
-        "(default: one range, or the package default width under shards; "
+        help="width of the row ranges each table scan loops over, in "
+        "every mode; the job holding a scan reads N rows at a time, "
+        "which gives the out-of-core scan (default: one range per scan; "
         "execution granularity only, never the results)",
     )
     parser.add_argument(

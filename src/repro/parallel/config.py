@@ -3,11 +3,11 @@
 An :class:`ExecutionConfig` names the backend (``serial`` — the
 zero-dependency fallback; ``threads`` — cheap for small tables where
 process start-up dominates; ``shards`` — worker processes that attach the
-QI code arrays in shared memory zero-copy and scan row ranges in
-parallel, see :mod:`repro.shard`), the worker count, and the width of a
-table scan's row ranges (``shard_rows``).  It is immutable and
-normalising: one worker is always the serial config, and the retired
-``processes`` mode name is accepted as ``shards``, so
+QI code arrays in shared memory zero-copy and run whole scan and rollup
+jobs in parallel, see :mod:`repro.shard`), the worker count, and the
+width of the row ranges a table scan loops over (``shard_rows``).  It is
+immutable and normalising: one worker is always the serial config, and
+the retired ``processes`` mode name is accepted as ``shards``, so
 ``ExecutionConfig.from_workers`` can be fed a CLI ``--workers`` value
 directly and old job specs keep working.
 
@@ -60,12 +60,11 @@ class ExecutionConfig:
     backoff_cap: float = 2.0
     #: Deterministic injected failures (None = no injection).
     faults: FaultPlan | None = None
-    #: Width of a table scan's row ranges in every mode: serial and
-    #: thread runs scan the ranges in a loop (the out-of-core scan), the
-    #: ``shards`` mode fans them out to its workers.  None is one range
-    #: per scan, or ``DEFAULT_SHARD_ROWS`` in a ``shards`` batch.
-    #: Execution granularity only — results merge bit-identically for
-    #: every width.
+    #: Width of the row ranges a table scan loops over, in every mode:
+    #: whichever job holds the plan (in the parent, a pool thread or a
+    #: shard worker) scans its ranges in turn (the out-of-core scan).
+    #: None is one range per scan.  Execution granularity only — results
+    #: merge bit-identically for every width.
     shard_rows: int | None = None
 
     def __post_init__(self) -> None:
@@ -114,15 +113,6 @@ class ExecutionConfig:
     @property
     def is_parallel(self) -> bool:
         return self.mode != "serial"
-
-    @property
-    def effective_shard_rows(self) -> int:
-        """The range width a ``shards`` batch fans scans out at."""
-        if self.shard_rows is not None:
-            return self.shard_rows
-        from repro.shard.shm import DEFAULT_SHARD_ROWS
-
-        return DEFAULT_SHARD_ROWS
 
     @property
     def effective_timeout(self) -> float | None:

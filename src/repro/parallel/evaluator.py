@@ -11,14 +11,14 @@ a thread pool, or on shard worker processes over shared memory (the
 
 Every table scan is one plan (:class:`~repro.core.anonymity.ScanPlan`):
 the rows a remembered base does not cover, split into ranges of
-``ExecutionConfig.shard_rows`` rows.  A plan runs its ranges in a loop
-inside its job, or, in a dispatched ``shards`` batch, fans them out as
-``scan_range`` jobs to workers that attach the QI code arrays zero-copy
-(:mod:`repro.shard`); the parent then merges the partials and the base
-exactly (:func:`repro.core.outofcore.merge_partials` — COUNT is
-distributive).  Both ways finish in
-:meth:`~repro.core.anonymity.FrequencyEvaluator.finish_scan`.  Rollups are
-not fanned out; their inputs are already small.
+``ExecutionConfig.shard_rows`` rows (one range when unset).  A plan runs
+inside the job that holds it, in every mode:
+:meth:`~repro.core.anonymity.FrequencyEvaluator.scan` loops over its
+ranges and merges the partials and the base exactly
+(:func:`repro.core.outofcore.merge_partials` — COUNT is distributive),
+whether the job runs in the parent, on a pool thread, or on a ``shards``
+worker that attaches the QI code arrays zero-copy (:mod:`repro.shard`).
+Parallelism is across the jobs of a batch, never within one job.
 
 Determinism contract (what makes ``--workers N`` safe to trust):
 
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro import obs
-from repro.core.anonymity import FrequencyEvaluator, FrequencySet, ScanPlan
+from repro.core.anonymity import FrequencyEvaluator, FrequencySet
 from repro.lattice.node import LatticeNode
 from repro.obs.counters import CounterSet
 from repro.obs.metrics import MetricSet
@@ -72,7 +72,7 @@ from repro.parallel.config import ExecutionConfig, current_execution
 from repro.resilience.faults import InjectedWorkerCrash, PoisonedResultError
 
 #: Degradation ladder, in demotion order.  Threads share the parent's
-#: memory, so demoted shard ranged-scan jobs keep running zero-copy.
+#: memory, so demoted shard jobs keep scanning the table zero-copy.
 _LADDER = {"shards": "threads", "threads": "serial"}
 
 
@@ -96,7 +96,7 @@ def _split_chunks(items: list, pieces: int) -> list[list]:
 
 
 def _jobs(chunk) -> list[tuple]:
-    """A chunk's ``(node, kind, payload)`` jobs, without their slots."""
+    """A chunk's ``(node, kind, payload)`` jobs, without their request indices."""
     return [(node, kind, payload) for _, node, kind, payload in chunk]
 
 
@@ -104,9 +104,8 @@ def _ship_chunk(chunk) -> list[tuple]:
     """Explode a chunk's payloads into picklable job tuples for a process.
 
     Rollup sources (:class:`FrequencySet`) are exploded to their two small
-    arrays; plain-tuple payloads — a scan plan, a ``scan_range`` job's
-    ``(start, stop)`` row range — are already picklable and pass through
-    unchanged.
+    arrays; a scan plan is a plain tuple, already picklable, and passes
+    through unchanged.
     """
     return [
         (
@@ -310,63 +309,43 @@ class BatchMaterializer:
     ) -> list[FrequencySet]:
         """Frequency sets for ``requests``, in request order.
 
-        Serial configs and lone requests run in the parent, one
-        :meth:`FrequencyEvaluator.materialize` call per request (each scan
-        split at ``shard_rows``), so the serial path has no parallel
-        machinery in the loop.  A batch resolves every request first and
-        dispatches the jobs in chunks; under ``shards`` its scans split at
-        ``effective_shard_rows``, and a plan of more than one range fans
-        out as one ``scan_range`` job per range, whose partials and base
-        the parent merges in one call.  Results are admitted to the
+        Every scan splits at ``shard_rows`` (one range when unset), and
+        whichever job holds the plan loops over its ranges.  Serial configs
+        and lone requests run in the parent, one
+        :meth:`FrequencyEvaluator.materialize` call per request, so the
+        serial path has no parallel machinery in the loop.  A batch
+        resolves every request first and dispatches the whole ``(node,
+        kind, payload)`` jobs in chunks.  Results are admitted to the
         caches in request order.
         """
+        width = self.execution.shard_rows
         if not self.execution.is_parallel or len(requests) < 2:
-            width = self.execution.shard_rows
             return [
                 evaluator.materialize(node, source, width)
                 for node, source in requests
             ]
 
-        fan_out = self._mode == "shards"
-        width = (
-            self.execution.effective_shard_rows
-            if fan_out
-            else self.execution.shard_rows
-        )
         results: list[Any] = [None] * len(requests)
-        pending: list[tuple] = []  # (slot, node, kind, payload); slot is
-        # the request index, or (index, piece) for one range of a fanned scan
-        fanned: dict[int, tuple[LatticeNode, ScanPlan, list]] = {}
+        pending: list[tuple] = []  # (index, node, kind, payload)
         for index, (node, source) in enumerate(requests):
             kind, payload = evaluator.resolve_job(node, source, width)
             if kind == "use":
                 results[index] = payload
-            elif kind == "scan" and fan_out and len(payload.ranges) > 1:
-                fanned[index] = (node, payload, [None] * len(payload.ranges))
-                pending.extend(
-                    ((index, piece), node, "scan_range", bounds)
-                    for piece, bounds in enumerate(payload.ranges)
-                )
             else:
                 pending.append((index, node, kind, payload))
-        computed = [index for index, result in enumerate(results) if result is None]
         if len(pending) <= 1:
             # Nothing (or a single job) survived the cache: dispatching to
             # a pool would cost more than the work.
             for index, node, kind, payload in pending:
                 results[index] = evaluator.execute_job(node, kind, payload)
         else:
-            self._dispatch_batch(evaluator, pending, results, fanned)
-        for index in computed:
+            self._dispatch_batch(evaluator, pending, results)
+        for index, _, _, _ in pending:
             evaluator.cache_put(results[index])
         return results
 
     def _dispatch_batch(
-        self,
-        evaluator: FrequencyEvaluator,
-        pending: list,
-        results: list,
-        fanned: dict[int, tuple[LatticeNode, ScanPlan, list]],
+        self, evaluator: FrequencyEvaluator, pending: list, results: list
     ) -> None:
         """Run ``pending`` on the pool; fill ``results`` in request order."""
         chunks = _split_chunks(pending, self.execution.workers)
@@ -386,17 +365,9 @@ class BatchMaterializer:
                 merge_started = time.perf_counter()
                 evaluator.stats.counters += delta
                 evaluator.stats.metrics += metrics_delta
-                for (slot, node, _, _), item in zip(chunk, chunk_results):
-                    if isinstance(slot, int):
-                        results[slot] = FrequencySet(node, *item, self.problem)
-                    else:
-                        index, piece = slot
-                        fanned[index][2][piece] = item
+                for (index, node, _, _), item in zip(chunk, chunk_results):
+                    results[index] = FrequencySet(node, *item, self.problem)
                 merge_seconds += time.perf_counter() - merge_started
-            for index, (node, plan, partials) in fanned.items():
-                results[index] = evaluator.finish_scan(
-                    node, partials, plan.base, split=True
-                )
             if sp:
                 sp.set(final_mode=self._mode)
         stats = evaluator.stats

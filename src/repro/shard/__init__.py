@@ -3,15 +3,16 @@
 The paper's §7 future work asks for scalability where the base table does
 not fit comfortably in memory; SKALD's recipe is to partition the table
 into row shards, compute per-shard frequency sets, and merge them exactly
-(COUNT is distributive).  This package supplies the two halves the
-``shards`` execution mode of :mod:`repro.parallel` composes:
+(COUNT is distributive).  Here that partition is every scan's plan of row
+ranges (:meth:`repro.core.anonymity.FrequencyEvaluator.plan_scan`), which
+the job holding the plan loops over and merges in every execution mode.
+This package supplies what the ``shards`` mode of :mod:`repro.parallel`
+adds: worker processes that run whole jobs against the table without a
+copy of it.
 
 * :mod:`repro.shard.shm` — QI code arrays backed by named
   ``multiprocessing.shared_memory`` segments, so pool workers attach
   zero-copy views instead of receiving a pickled table each;
-* :func:`plan_shards` — the contiguous row-range plan a lattice node's
-  scan fans out over, with the exact merge provided by
-  :func:`repro.core.outofcore.merge_partials`;
 * :mod:`repro.shard.manifest` — an on-disk manifest of live segments so
   a SIGKILLed owner's leaked segments can be swept at the next startup
   (:func:`sweep_orphans`, surfaced as ``repro gc-shm``).
@@ -19,22 +20,18 @@ into row shards, compute per-shard frequency sets, and merge them exactly
 
 from repro.shard.manifest import SweepReport, manifest_dir, sweep_orphans
 from repro.shard.shm import (
-    DEFAULT_SHARD_ROWS,
     SharedColumnSpec,
     SharedProblemHandle,
     SharedTableStore,
     attach_problem,
-    plan_shards,
 )
 
 __all__ = [
-    "DEFAULT_SHARD_ROWS",
     "SharedColumnSpec",
     "SharedProblemHandle",
     "SharedTableStore",
     "SweepReport",
     "attach_problem",
     "manifest_dir",
-    "plan_shards",
     "sweep_orphans",
 ]

@@ -19,11 +19,14 @@ segments and is responsible for :meth:`SharedTableStore.close` (close +
 ``unlink``).  Workers only *attach*: their mappings are released when the
 worker exits, and they never unlink — the parent's ``unlink`` is the
 single point where the backing objects are removed, with the stdlib
-resource tracker as the crash backstop.  The shard execution mode ties
-this lifecycle to :meth:`repro.parallel.evaluator.BatchMaterializer.close`
-for stores it creates itself; stores attached to a problem by a streaming
-builder (``problem._shm_store``) are adopted, not owned, and stay alive
-for the problem's lifetime.
+resource tracker as the crash backstop (it unlinks once every process
+sharing it has exited, and workers exit when their parent dies: see
+:func:`repro.parallel.worker.init_worker_shared`).  The shard execution
+mode ties this lifecycle to
+:meth:`repro.parallel.evaluator.BatchMaterializer.close` for stores it
+creates itself; stores attached to a problem by a streaming builder
+(``problem._shm_store``) are adopted, not owned, and stay alive for the
+problem's lifetime.
 
 Close the owning store after releasing any parent-side views of its
 arrays; live views make the unmap lazy (it happens when the last view
@@ -44,27 +47,6 @@ from repro.relational.column import CODE_DTYPE, Column
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.shard import manifest
-
-#: Default rows per shard: big enough that per-shard fan-out overhead is
-#: noise, small enough that a shard's generalized codes stay cache-friendly
-#: and the full Lands End table splits into ~18 ranges.
-DEFAULT_SHARD_ROWS = 262_144
-
-
-def plan_shards(num_rows: int, shard_rows: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` row ranges covering ``num_rows`` rows.
-
-    The last range is short when ``shard_rows`` does not divide
-    ``num_rows``; an empty table yields no ranges.
-    """
-    if shard_rows <= 0:
-        raise ValueError(f"shard_rows must be positive, got {shard_rows}")
-    if num_rows < 0:
-        raise ValueError(f"num_rows must be >= 0, got {num_rows}")
-    return [
-        (start, min(start + shard_rows, num_rows))
-        for start in range(0, num_rows, shard_rows)
-    ]
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """The width of a scan's row ranges never changes a result.
 
 A scan plan is the rows its remembered base does not cover, split every
-``shard_rows`` rows; serial and thread runs scan the ranges in a loop, the
-``shards`` mode fans them out to workers.  For every width, mode and base,
-each frequency set must decode to the kernel-independent reference
-(``tests/reference.py``), and every ``frequency.*``, ``incremental.*`` and
-``dist.*`` counter must equal the unset-width serial run's.  The ``shard.*``
-range counters follow one rule in every mode: each range of a plan with
-more than one range is one ranged scan, and one-range plans record none.
+``shard_rows`` rows; in every mode, the job holding the plan scans its
+ranges in a loop (in the parent, a pool thread or a shard worker).  For
+every width, mode and base, each frequency set must decode to the
+kernel-independent reference (``tests/reference.py``), and every
+``frequency.*``, ``incremental.*`` and ``dist.*`` counter must equal the
+unset-width serial run's.  The ``shard.*`` range counters follow one rule
+in every mode: each range of a plan with more than one range is one
+ranged scan, and one-range plans record none.  Because the loop is the
+same everywhere, ``shard.range_scans``, ``shard.rows_scanned``,
+``shard.merges`` and the ``shard.rows_per_range`` histogram equal the
+serial run's at the same width in every mode.
 """
 
 from __future__ import annotations
@@ -88,6 +92,14 @@ def invariant_surfaces(stats) -> tuple[dict, dict]:
     return counters, stats.metrics.filtered("dist.")
 
 
+def range_surfaces(stats) -> tuple[dict, dict]:
+    counters = {
+        key: stats.counters.get(key, 0)
+        for key in ("shard.range_scans", "shard.rows_scanned", "shard.merges")
+    }
+    return counters, stats.metrics.filtered("shard.rows_per_range")
+
+
 @pytest.mark.parametrize("base", ["none", "prefix", "empty-delta"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("width", [1, 2, 3, 7, "rows", "rows+1", None])
@@ -102,6 +114,9 @@ def test_range_width_never_changes_results(width, mode, base):
             problem, ExecutionConfig(**MODES[mode], shard_rows=shard_rows), cut
         )
         _, baseline = run_batch(problem, ExecutionConfig(), cut)
+        _, serial_at_width = run_batch(
+            problem, ExecutionConfig(shard_rows=shard_rows), cut
+        )
 
         reference = ReferenceFrequencies(problem)
         for frequency_set in sets:
@@ -111,6 +126,7 @@ def test_range_width_never_changes_results(width, mode, base):
                 f"{context} node={frequency_set.node}",
             )
         assert invariant_surfaces(stats) == invariant_surfaces(baseline), context
+        assert range_surfaces(stats) == range_surfaces(serial_at_width), context
 
         remaining = num_rows - (cut or 0)
         ranges = -(-remaining // shard_rows) if shard_rows else 1

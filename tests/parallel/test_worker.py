@@ -1,4 +1,4 @@
-"""Worker-side unit tests: RSS telemetry portability, scan_range jobs."""
+"""Worker-side unit tests: RSS telemetry portability, scan jobs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.anonymity import compute_frequency_set_range
+from repro.core.anonymity import FrequencyEvaluator, compute_frequency_set
 from repro.parallel import worker
 from repro.shard import SharedTableStore
 from tests.conftest import tiny_numeric_problem
@@ -76,20 +76,22 @@ def installed_problem():
         store.close()
 
 
-class TestRunChunkScanRange:
-    def test_scan_range_job_returns_the_shard_partial(self, installed_problem):
+class TestRunChunkScanPlan:
+    def test_scan_job_loops_over_every_range(self, installed_problem):
         node = installed_problem.bottom_node()
-        out, counters, _ = worker.run_chunk([(node, "scan_range", (2, 7))])
+        plan = FrequencyEvaluator(installed_problem).plan_scan(width=3)
+        assert len(plan.ranges) > 1
+        out, counters, _ = worker.run_chunk([(node, "scan", plan)])
         (key_codes, counts), = out
-        direct = compute_frequency_set_range(installed_problem, node, 2, 7)
+        direct = compute_frequency_set(installed_problem, node)
         np.testing.assert_array_equal(key_codes, direct.key_codes)
         np.testing.assert_array_equal(counts, direct.counts)
-        # Shard work is telemetry, not scan accounting.
-        assert counters.get("shard.range_scans", 0) == 1
-        assert counters.get("shard.rows_scanned", 0) == 5
-        assert counters.get("frequency.table_scans", 0) == 0
+        # The ranges are telemetry; the plan is one table scan.
+        assert counters.get("shard.range_scans", 0) == len(plan.ranges)
+        assert counters.get("shard.rows_scanned", 0) == installed_problem.num_rows
+        assert counters.get("frequency.table_scans", 0) == 1
 
-    def test_scan_range_without_payload_is_an_error(self, installed_problem):
+    def test_scan_job_without_payload_is_an_error(self, installed_problem):
         node = installed_problem.bottom_node()
-        with pytest.raises(ValueError, match="scan_range"):
-            worker.run_chunk([(node, "scan_range", None)])
+        with pytest.raises(ValueError, match="'scan' job has no payload"):
+            worker.run_chunk([(node, "scan", None)])

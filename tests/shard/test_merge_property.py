@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.anonymity import (
+    FrequencyEvaluator,
     compute_frequency_set,
     compute_frequency_set_range,
 )
 from repro.core.outofcore import merge_partials
-from repro.shard import plan_shards
 from tests.conftest import make_random_problem
 
 
@@ -51,7 +51,7 @@ def merged_scan(problem, node, ranges) -> tuple[np.ndarray, np.ndarray]:
 def test_shard_merge_equals_whole_scan(seed, shard_rows, data):
     problem = make_random_problem(seed)
     num_rows = problem.table.num_rows
-    ranges = plan_shards(num_rows, shard_rows)
+    ranges = list(FrequencyEvaluator(problem).plan_scan(width=shard_rows).ranges)
     # Splice in an empty range at an arbitrary boundary: empty shards must
     # be neutral elements of the merge.
     empty_at = data.draw(
@@ -88,7 +88,7 @@ def test_range_scans_partition_every_row(seed, width):
     node = problem.bottom_node()
     totals = [
         compute_frequency_set_range(problem, node, start, stop).total()
-        for start, stop in plan_shards(num_rows, width)
+        for start, stop in FrequencyEvaluator(problem).plan_scan(width=width).ranges
     ]
     assert sum(totals) == num_rows
 

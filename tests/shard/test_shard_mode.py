@@ -1,9 +1,10 @@
 """The ``shards`` execution mode: bit-identical results, clean lifecycle.
 
-The contract under test: fanning a node's scan out over shared-memory row
-shards and merging the partials is invisible everywhere except the
-``shard.*`` telemetry — frequency sets, ``frequency.*`` counters, search
-results, and checkpoints all match a serial run bit-for-bit.
+The contract under test: a shard worker scanning a node's row ranges
+over shared memory in a loop and merging the partials is invisible
+everywhere except the ``shard.*`` telemetry — frequency sets,
+``frequency.*`` counters, search results, and checkpoints all match a
+serial run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class TestShardBatchDifferential:
             frequency_counters(expected_counters)
         )
 
-    def test_fanned_scans_surface_in_shard_counters(self):
+    def test_worker_range_loops_surface_in_shard_counters(self):
         problem = tiny_numeric_problem()  # 10 rows / 3-row shards = 4 each
         requests = all_requests(problem)
         _, stats = self.run_shards(problem, requests, shard_config())
@@ -63,7 +64,7 @@ class TestShardBatchDifferential:
         assert stats.shard_rows_scanned == (
             problem.table.num_rows * len(requests)
         )
-        # The fan-out is telemetry, not accounting: the run still reports
+        # The ranges are telemetry, not accounting: the run still reports
         # one table scan per node, as serial would.
         assert stats.table_scans == len(requests)
 
@@ -81,7 +82,7 @@ class TestShardBatchDifferential:
             frequency_counters(expected_counters)
         )
 
-    def test_single_shard_table_skips_fan_out(self):
+    def test_single_range_worker_scans_merge_nothing(self):
         problem = tiny_numeric_problem()
         requests = all_requests(problem)
         expected_sets, _ = serial_baseline(problem, requests)

@@ -5,44 +5,58 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.anonymity import compute_frequency_set
+from repro.core.anonymity import FrequencyEvaluator, compute_frequency_set
+from repro.core.problem import PreparedTable
 from repro.hierarchy import SuppressionHierarchy
-from repro.shard import (
-    DEFAULT_SHARD_ROWS,
-    SharedTableStore,
-    attach_problem,
-    plan_shards,
-)
+from repro.parallel import ExecutionConfig
+from repro.shard import SharedTableStore, attach_problem
 from tests.conftest import make_random_problem, tiny_numeric_problem
 
 
+def plan_ranges(num_rows: int, width: int | None) -> tuple:
+    """The row ranges ``plan_scan`` splits a ``num_rows``-row table into."""
+    problem = make_random_problem(3, num_rows=max(num_rows, 1))
+    if num_rows == 0:
+        hierarchies = {
+            name: problem.hierarchy(name).source
+            for name in problem.quasi_identifier
+        }
+        problem = PreparedTable(
+            problem.table.take([]), hierarchies, problem.quasi_identifier
+        )
+    return FrequencyEvaluator(problem).plan_scan(width=width).ranges
+
+
 class TestPlanShards:
+    """A scan's shards: the row ranges ``FrequencyEvaluator.plan_scan`` makes."""
+
     def test_non_dividing_width_gets_short_tail(self):
-        assert plan_shards(10, 4) == [(0, 4), (4, 8), (8, 10)]
+        assert plan_ranges(10, 4) == ((0, 4), (4, 8), (8, 10))
 
     def test_exact_division(self):
-        assert plan_shards(8, 4) == [(0, 4), (4, 8)]
+        assert plan_ranges(8, 4) == ((0, 4), (4, 8))
 
     def test_width_beyond_table_is_one_shard(self):
-        assert plan_shards(3, 100) == [(0, 3)]
+        assert plan_ranges(3, 100) == ((0, 3),)
 
-    def test_empty_table_has_no_shards(self):
-        assert plan_shards(0, 4) == []
+    def test_empty_table_is_one_empty_range(self):
+        assert plan_ranges(0, 4) == ((0, 0),)
 
     def test_ranges_partition_the_rows(self):
-        ranges = plan_shards(1_000, 7)
+        ranges = plan_ranges(1_000, 7)
         assert ranges[0][0] == 0 and ranges[-1][1] == 1_000
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
 
     def test_invalid_inputs(self):
+        # A width is validated where it is configured.
         with pytest.raises(ValueError):
-            plan_shards(10, 0)
+            ExecutionConfig(shard_rows=0)
         with pytest.raises(ValueError):
-            plan_shards(-1, 4)
+            ExecutionConfig(shard_rows=-1)
 
     def test_default_width(self):
-        assert DEFAULT_SHARD_ROWS >= 1
+        assert plan_ranges(1_000, None) == ((0, 1_000),)
 
 
 class TestFromProblem:
