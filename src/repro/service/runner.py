@@ -8,7 +8,7 @@ robustness contract depends on:
   the watchdog takes down one job's attempt, never the server;
 * **budget enforcement** — per-job execution mode and worker count are
   just the existing :class:`~repro.parallel.ExecutionConfig`, installed
-  inside the child, so one tenant's shard fan-out cannot commandeer
+  inside the child, so one tenant's shard pool cannot commandeer
   another job's workers;
 * **resumability** — the child checkpoints through the job's own
   :class:`~repro.resilience.CheckpointStore` after every completed
