@@ -391,16 +391,14 @@ class FrequencyEvaluator:
     def plan_scan(
         self,
         base: tuple[np.ndarray, np.ndarray, int] | None = None,
-        width: int | None = None,
     ) -> ScanPlan:
-        """A plan over the rows ``base`` does not cover, in ``width``-row ranges.
+        """A plan over the rows ``base`` does not cover, split at :attr:`shard_rows`.
 
-        ``width`` defaults to :attr:`shard_rows`.  No width, an empty table
-        and an empty delta all give one range.
+        No width, an empty table and an empty delta all give one range.
         """
         start = 0 if base is None else base[2]
         stop = self.problem.num_rows
-        width = width or self.shard_rows
+        width = self.shard_rows
         if width is None or stop - start <= width:
             return ScanPlan(((start, stop),), base)
         lows = range(start, stop, width)
@@ -501,14 +499,13 @@ class FrequencyEvaluator:
         self,
         node: LatticeNode,
         source: FrequencySet | None = None,
-        width: int | None = None,
     ) -> tuple[str, Any]:
         """Plan how to obtain ``node``'s frequency set.
 
         Returns ``(kind, payload)`` where kind is ``"use"`` (payload *is*
         the set — zero cost), ``"rollup"`` (re-aggregate payload up to
         ``node``), or ``"scan"`` (payload is a :class:`ScanPlan` from
-        :meth:`plan_scan`, in ``width``-row ranges; with an adopted delta
+        :meth:`plan_scan`, in :attr:`shard_rows`-row ranges; with an adopted delta
         context it carries the node's remembered prefix set as its base,
         so only the appended rows are scanned).  ``source`` is an
         algorithm-supplied rollup source (a failed BFS parent, a
@@ -524,12 +521,12 @@ class FrequencyEvaluator:
         into ``latency.cache_lookup_seconds`` (lookup + ancestor search).
         """
         if self.cache is None:
-            return self._plan_job(node, source, width)
+            return self._plan_job(node, source)
         with self.stats.metrics.timer("latency.cache_lookup_seconds"):
-            return self._plan_job(node, source, width)
+            return self._plan_job(node, source)
 
     def _plan_job(
-        self, node: LatticeNode, source: FrequencySet | None, width: int | None
+        self, node: LatticeNode, source: FrequencySet | None
     ) -> tuple[str, Any]:
         if source is not None and source.node == node:
             return ("use", source)
@@ -561,9 +558,9 @@ class FrequencyEvaluator:
             if piece is not None:
                 self.stats.incremental_base_hits += 1
                 base = (piece.key_codes, piece.counts, piece.covered_rows)
-                return ("scan", self.plan_scan(base, width))
+                return ("scan", self.plan_scan(base))
             self.stats.incremental_base_misses += 1
-        return ("scan", self.plan_scan(width=width))
+        return ("scan", self.plan_scan())
 
     def execute_job(self, node: LatticeNode, kind: str, payload) -> FrequencySet:
         """Carry out a plan from :meth:`resolve_job` (no cache admission)."""
@@ -603,16 +600,15 @@ class FrequencyEvaluator:
         self,
         node: LatticeNode,
         source: FrequencySet | None = None,
-        width: int | None = None,
     ) -> FrequencySet:
         """Obtain ``node``'s frequency set the cheapest known way.
 
         The serial convenience wrapper over resolve → execute → admit; the
         parallel evaluator performs the same three steps with the middle
         one on workers, one whole job (a scan plan and all its ranges) at
-        a time.  ``width`` is as for :meth:`resolve_job`.
+        a time.
         """
-        kind, payload = self.resolve_job(node, source, width)
+        kind, payload = self.resolve_job(node, source)
         result = self.execute_job(node, kind, payload)
         if kind != "use":
             self.cache_put(result)

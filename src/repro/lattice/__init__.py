@@ -10,15 +10,12 @@
   node/edge graph of the Incognito algorithm, exportable to the relational
   nodes/edges representation of Figure 6.
 * :mod:`~repro.lattice.generation` — the a-priori graph-generation step
-  (join phase, prune phase with a hash tree, edge generation) of
-  Section 3.1.2.
-* :class:`~repro.lattice.hashtree.SubsetHashTree` — the Apriori-style hash
-  tree used by the prune phase.
+  (join phase, prune phase with one set of survivor keys, edge generation)
+  of Section 3.1.2.
 """
 
 from repro.lattice.generation import graph_generation, initial_graph
 from repro.lattice.graph import CandidateGraph
-from repro.lattice.hashtree import SubsetHashTree
 from repro.lattice.lattice import GeneralizationLattice
 from repro.lattice.node import LatticeNode
 
@@ -26,7 +23,6 @@ __all__ = [
     "CandidateGraph",
     "GeneralizationLattice",
     "LatticeNode",
-    "SubsetHashTree",
     "graph_generation",
     "initial_graph",
 ]

@@ -8,8 +8,8 @@ graph from the surviving (k-anonymous) nodes ``S_i`` and edges ``E_i``:
    below the other's (a fixed global attribute order avoids duplicates),
    producing (i+1)-attribute candidates and recording the two parents.
 2. **Prune phase** — drop candidates having any i-attribute projection that
-   did not survive, using an Apriori hash tree
-   (:class:`repro.lattice.hashtree.SubsetHashTree`).
+   did not survive.  The paper looks projections up in an Apriori hash
+   tree; here they are looked up in one set of the survivors' items.
 3. **Edge generation** — derive candidate direct-generalization edges from
    the parents and ``E_i`` via the three parent-edge patterns of the paper's
    SQL, then subtract edges implied by a two-edge composition (the EXCEPT
@@ -22,7 +22,6 @@ from collections import defaultdict
 from typing import Mapping, Sequence
 
 from repro.lattice.graph import CandidateGraph
-from repro.lattice.hashtree import SubsetHashTree
 from repro.lattice.node import LatticeNode
 
 
@@ -94,12 +93,19 @@ def prune_phase(
     triples: Sequence[tuple[LatticeNode, LatticeNode, LatticeNode]],
     survivors: Sequence[LatticeNode],
 ) -> list[tuple[LatticeNode, LatticeNode, LatticeNode]]:
-    """Keep candidates whose every i-attribute projection survived."""
-    tree = SubsetHashTree(survivors)
+    """Keep candidates whose every i-attribute projection survived.
+
+    A node is keyed by its ``(attribute, level)`` items sorted by attribute
+    name, so membership does not depend on the order of a survivor's
+    attributes.  Dropping one item from a sorted key leaves a sorted key,
+    so each projection is a slice of the candidate's key.
+    """
+    present = {tuple(sorted(node.items())) for node in survivors}
     kept = []
-    for candidate, parent1, parent2 in triples:
-        if tree.contains_all_subsets(candidate, candidate.size - 1):
-            kept.append((candidate, parent1, parent2))
+    for triple in triples:
+        key = tuple(sorted(triple[0].items()))
+        if all(key[:drop] + key[drop + 1:] in present for drop in range(len(key))):
+            kept.append(triple)
     return kept
 
 

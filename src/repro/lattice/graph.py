@@ -11,7 +11,7 @@ node ids and adjacency lists for the search itself.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.lattice.node import LatticeNode
 from repro.relational.schema import Schema
@@ -118,20 +118,6 @@ class CandidateGraph:
             grouped[node.attributes].append(node)
         return dict(grouped)
 
-    def generalizations_closure(self, node: LatticeNode) -> list[LatticeNode]:
-        """All nodes reachable from ``node`` along edges (direct + implied)."""
-        seen: set[int] = set()
-        stack = [self.id_of(node)]
-        order: list[LatticeNode] = []
-        while stack:
-            current = stack.pop()
-            for end in self._out.get(current, ()):
-                if end not in seen:
-                    seen.add(end)
-                    order.append(self.node_of(end))
-                    stack.append(end)
-        return order
-
     # ------------------------------------------------------------------
     # relational export (Figure 6)
     # ------------------------------------------------------------------
@@ -166,19 +152,6 @@ class CandidateGraph:
         return nodes_table, edges_table
 
     @classmethod
-    def from_nodes_and_edges(
-        cls,
-        nodes: Iterable[LatticeNode],
-        edges: Iterable[tuple[LatticeNode, LatticeNode]] = (),
-    ) -> "CandidateGraph":
-        graph = cls()
-        for node in nodes:
-            graph.add_node(node)
-        for start, end in edges:
-            graph.add_edge(start, end)
-        return graph
-
-    @classmethod
     def from_lattice(cls, lattice) -> "CandidateGraph":
         """Materialise a full :class:`GeneralizationLattice` as a graph."""
         graph = cls()
@@ -190,8 +163,3 @@ class CandidateGraph:
 
     def __repr__(self) -> str:
         return f"CandidateGraph(nodes={len(self)}, edges={self.num_edges()})"
-
-
-def subset_lattice_sizes(graph: CandidateGraph) -> dict[tuple[str, ...], int]:
-    """Node count per family — handy for pruning-effect reports (Fig 7)."""
-    return {family: len(nodes) for family, nodes in graph.families().items()}

@@ -309,26 +309,25 @@ class BatchMaterializer:
     ) -> list[FrequencySet]:
         """Frequency sets for ``requests``, in request order.
 
-        Every scan splits at ``shard_rows`` (one range when unset), and
-        whichever job holds the plan loops over its ranges.  Serial configs
-        and lone requests run in the parent, one
+        Every scan splits at the evaluator's ``shard_rows`` (one range when
+        unset), and whichever job holds the plan loops over its ranges.
+        Serial configs and lone requests run in the parent, one
         :meth:`FrequencyEvaluator.materialize` call per request, so the
         serial path has no parallel machinery in the loop.  A batch
         resolves every request first and dispatches the whole ``(node,
         kind, payload)`` jobs in chunks.  Results are admitted to the
         caches in request order.
         """
-        width = self.execution.shard_rows
         if not self.execution.is_parallel or len(requests) < 2:
             return [
-                evaluator.materialize(node, source, width)
+                evaluator.materialize(node, source)
                 for node, source in requests
             ]
 
         results: list[Any] = [None] * len(requests)
         pending: list[tuple] = []  # (index, node, kind, payload)
         for index, (node, source) in enumerate(requests):
-            kind, payload = evaluator.resolve_job(node, source, width)
+            kind, payload = evaluator.resolve_job(node, source)
             if kind == "use":
                 results[index] = payload
             else:

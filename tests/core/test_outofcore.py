@@ -26,7 +26,7 @@ from tests.conftest import make_random_problem
 
 def serial_scans(problem, nodes, width):
     """Scan ``nodes`` in one serial batch at range width ``width``."""
-    evaluator = FrequencyEvaluator(problem, SearchStats())
+    evaluator = FrequencyEvaluator(problem, SearchStats(), shard_rows=width)
     with BatchMaterializer(problem, ExecutionConfig(shard_rows=width)) as pool:
         sets = pool.materialize_batch(evaluator, [(node, None) for node in nodes])
     return sets, evaluator.stats

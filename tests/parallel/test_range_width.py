@@ -77,7 +77,9 @@ def run_batch(problem, config, cut):
     context = None if cut is None else remembered(problem, cut)
     requests = [(node, None) for node in problem.lattice().nodes()]
     with use_delta_context(context):
-        evaluator = FrequencyEvaluator(problem, SearchStats())
+        evaluator = FrequencyEvaluator(
+            problem, SearchStats(), shard_rows=config.shard_rows
+        )
         with BatchMaterializer(problem, config) as pool:
             sets = pool.materialize_batch(evaluator, requests)
     return sets, evaluator.stats

@@ -79,7 +79,7 @@ def installed_problem():
 class TestRunChunkScanPlan:
     def test_scan_job_loops_over_every_range(self, installed_problem):
         node = installed_problem.bottom_node()
-        plan = FrequencyEvaluator(installed_problem).plan_scan(width=3)
+        plan = FrequencyEvaluator(installed_problem, shard_rows=3).plan_scan()
         assert len(plan.ranges) > 1
         out, counters, _ = worker.run_chunk([(node, "scan", plan)])
         (key_codes, counts), = out

@@ -49,7 +49,9 @@ def rebuild(problem: PreparedTable, rows: np.ndarray) -> PreparedTable:
 def decoded_sets(problem: PreparedTable, execution: ExecutionConfig) -> dict:
     """Every lattice node's decoded frequency set, from one batch."""
     nodes = list(problem.lattice().nodes())
-    evaluator = FrequencyEvaluator(problem, SearchStats())
+    evaluator = FrequencyEvaluator(
+        problem, SearchStats(), shard_rows=execution.shard_rows
+    )
     with BatchMaterializer(problem, execution) as pool:
         sets = pool.materialize_batch(evaluator, [(node, None) for node in nodes])
     return {node: frequency_set.as_dict() for node, frequency_set in zip(nodes, sets)}

@@ -53,7 +53,9 @@ def assert_matches_baseline(problem, requests, config, *, cache=None, rounds=1):
     (algorithm runs dispatch one batch per lattice level the same way).
     """
     expected_sets, expected_counters = serial_baseline(problem, requests, rounds)
-    evaluator = FrequencyEvaluator(problem, SearchStats(), cache=cache)
+    evaluator = FrequencyEvaluator(
+        problem, SearchStats(), cache=cache, shard_rows=config.shard_rows
+    )
     with BatchMaterializer(problem, config) as pool:
         for _ in range(rounds):
             actual_sets = pool.materialize_batch(evaluator, requests)
@@ -194,7 +196,7 @@ class TestShardLadder:
     must demote down the ladder rather than wedge or error out.
     """
 
-    #: Tiny shards so even the test fixture fans out over several ranges.
+    #: Tiny ranges so each scan of the test fixture loops over several.
     SHARD = dict(shard_rows=4)
 
     def test_acceptance_plan_on_shards(self):

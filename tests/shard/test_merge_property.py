@@ -51,7 +51,7 @@ def merged_scan(problem, node, ranges) -> tuple[np.ndarray, np.ndarray]:
 def test_shard_merge_equals_whole_scan(seed, shard_rows, data):
     problem = make_random_problem(seed)
     num_rows = problem.table.num_rows
-    ranges = list(FrequencyEvaluator(problem).plan_scan(width=shard_rows).ranges)
+    ranges = list(FrequencyEvaluator(problem, shard_rows=shard_rows).plan_scan().ranges)
     # Splice in an empty range at an arbitrary boundary: empty shards must
     # be neutral elements of the merge.
     empty_at = data.draw(
@@ -86,9 +86,10 @@ def test_range_scans_partition_every_row(seed, width):
     problem = make_random_problem(seed)
     num_rows = problem.table.num_rows
     node = problem.bottom_node()
+    plan = FrequencyEvaluator(problem, shard_rows=width).plan_scan()
     totals = [
         compute_frequency_set_range(problem, node, start, stop).total()
-        for start, stop in FrequencyEvaluator(problem).plan_scan(width=width).ranges
+        for start, stop in plan.ranges
     ]
     assert sum(totals) == num_rows
 

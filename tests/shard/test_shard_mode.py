@@ -35,7 +35,9 @@ def shard_config(**overrides) -> ExecutionConfig:
 
 class TestShardBatchDifferential:
     def run_shards(self, problem, requests, config):
-        evaluator = FrequencyEvaluator(problem, SearchStats())
+        evaluator = FrequencyEvaluator(
+            problem, SearchStats(), shard_rows=config.shard_rows
+        )
         with BatchMaterializer(problem, config) as pool:
             sets = pool.materialize_batch(evaluator, requests)
         return sets, evaluator.stats
@@ -97,8 +99,11 @@ class TestShardBatchDifferential:
 class TestStoreLifecycle:
     def test_materializer_creates_and_closes_its_own_store(self):
         problem = tiny_numeric_problem()
-        pool = BatchMaterializer(problem, shard_config())
-        evaluator = FrequencyEvaluator(problem, SearchStats())
+        config = shard_config()
+        pool = BatchMaterializer(problem, config)
+        evaluator = FrequencyEvaluator(
+            problem, SearchStats(), shard_rows=config.shard_rows
+        )
         with pool:
             pool.materialize_batch(evaluator, all_requests(problem))
             store = pool._shm_store
@@ -110,8 +115,11 @@ class TestStoreLifecycle:
         store = SharedTableStore.from_problem(problem)
         problem._shm_store = store
         try:
-            evaluator = FrequencyEvaluator(problem, SearchStats())
-            with BatchMaterializer(problem, shard_config()) as pool:
+            config = shard_config()
+            evaluator = FrequencyEvaluator(
+                problem, SearchStats(), shard_rows=config.shard_rows
+            )
+            with BatchMaterializer(problem, config) as pool:
                 pool.materialize_batch(evaluator, all_requests(problem))
                 assert pool._shm_store is store
             # Adopted store outlives the pool: the builder owns it.
@@ -128,7 +136,9 @@ class TestDegradation:
         expected_sets, _ = serial_baseline(problem, requests)
         plan = FaultPlan(crash_rate=1.0, seed=13)
         config = shard_config(max_retries=2, faults=plan, **FAST)
-        evaluator = FrequencyEvaluator(problem, SearchStats())
+        evaluator = FrequencyEvaluator(
+            problem, SearchStats(), shard_rows=config.shard_rows
+        )
         with BatchMaterializer(problem, config) as pool:
             actual_sets = pool.materialize_batch(evaluator, requests)
             final_mode = pool.mode

@@ -24,7 +24,7 @@ def plan_ranges(num_rows: int, width: int | None) -> tuple:
         problem = PreparedTable(
             problem.table.take([]), hierarchies, problem.quasi_identifier
         )
-    return FrequencyEvaluator(problem).plan_scan(width=width).ranges
+    return FrequencyEvaluator(problem, shard_rows=width).plan_scan().ranges
 
 
 class TestPlanShards:
