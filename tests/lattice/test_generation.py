@@ -295,3 +295,88 @@ class TestRandomizedSemantics:
                 }
                 assert set(next_graph.edges()) == expected_edges
                 graph = next_graph
+
+    def test_levels_above_255_match_bruteforce(self):
+        """Levels need more than eight bits; the graphs still match brute force."""
+        rng = random.Random(29)
+        qi = ("A", "B", "C")
+        heights = {"A": 300, "B": 1, "C": 2}
+        for _ in range(3):
+            graph = initial_graph(qi, heights)
+            for size in range(1, 3):
+                survivors = _upward_closed(graph, rng, 0.02)
+                next_graph = graph_generation(list(survivors), graph, qi)
+
+                expected_nodes = set()
+                for attrs in itertools.combinations(qi, size + 1):
+                    ranges = [range(heights[a] + 1) for a in attrs]
+                    for levels in itertools.product(*ranges):
+                        node = LatticeNode(attrs, levels)
+                        if all(
+                            node.subset(subset) in survivors
+                            for subset in itertools.combinations(attrs, size)
+                        ):
+                            expected_nodes.add(node)
+                assert set(next_graph.nodes) == expected_nodes
+
+                expected_edges = set()
+                for node in expected_nodes:
+                    for attribute, level in node.items():
+                        up = node.with_level(attribute, level + 1)
+                        if up in expected_nodes:
+                            expected_edges.add((node, up))
+                assert set(next_graph.edges()) == expected_edges
+                graph = next_graph
+
+
+def _upward_closed(graph, rng, share):
+    """Pick one node per family and each node with probability ``share``.
+
+    The picks are then closed upward, as the generalization property
+    guarantees of real survivor sets.
+    """
+    survivors = {rng.choice(nodes) for nodes in graph.families().values()}
+    survivors.update(node for node in graph if rng.random() < share)
+    frontier = list(survivors)
+    while frontier:
+        for up in graph.direct_generalizations(frontier.pop()):
+            if up not in survivors:
+                survivors.add(up)
+                frontier.append(up)
+    return survivors
+
+
+class TestGraphOrder:
+    """Ids, parents and edges come out in one fixed order.
+
+    The search visits nodes in insertion order, and that decides which
+    parent a rollup starts from, so the order is part of the result.
+    """
+
+    def test_ids_parents_and_edges_follow_node_order(self):
+        rng = random.Random(23)
+        qi = ("A", "B", "C", "D")
+        heights = {"A": 2, "B": 1, "C": 2, "D": 1}
+        for _ in range(40):
+            graph = initial_graph(qi, heights)
+            for _size in range(1, 4):
+                survivors = list(_upward_closed(graph, rng, 0.55))
+                rng.shuffle(survivors)
+                next_graph = graph_generation(survivors, graph, qi)
+
+                nodes = next_graph.nodes
+                assert nodes == sorted(nodes, key=LatticeNode.sort_key)
+                for node_id, node in enumerate(nodes, start=1):
+                    assert next_graph.id_of(node) == node_id
+                    *_, second_to_last, last = node.attributes
+                    assert next_graph.parents_of(node_id) == (
+                        graph.id_of(node.drop(last)),
+                        graph.id_of(node.drop(second_to_last)),
+                    )
+                edge_ids = [
+                    (next_graph.id_of(start), next_graph.id_of(end))
+                    for start, end in next_graph.edges()
+                ]
+                assert edge_ids == sorted(edge_ids)
+                assert len(set(edge_ids)) == len(edge_ids)
+                graph = next_graph
