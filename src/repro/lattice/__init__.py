@@ -10,8 +10,8 @@
   node/edge graph of the Incognito algorithm, exportable to the relational
   nodes/edges representation of Figure 6.
 * :mod:`~repro.lattice.generation` — the a-priori graph-generation step
-  (join phase, prune phase with one set of survivor keys, edge generation)
-  of Section 3.1.2.
+  of Section 3.1.2 (join, prune and edge generation), run on packed
+  ``(rank, level)`` keys and graph ids.
 """
 
 from repro.lattice.generation import graph_generation, initial_graph

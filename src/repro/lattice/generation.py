@@ -9,20 +9,31 @@ graph from the surviving (k-anonymous) nodes ``S_i`` and edges ``E_i``:
    producing (i+1)-attribute candidates and recording the two parents.
 2. **Prune phase** — drop candidates having any i-attribute projection that
    did not survive.  The paper looks projections up in an Apriori hash
-   tree; here they are looked up in one set of the survivors' items.
+   tree; here they are looked up in one set of the survivors' keys.
 3. **Edge generation** — derive candidate direct-generalization edges from
    the parents and ``E_i`` via the three parent-edge patterns of the paper's
    SQL, then subtract edges implied by a two-edge composition (the EXCEPT
    clause).
+
+As in the paper's relational form (Figure 6), the phases run on integers.
+A node's *key* is its ``rank << shift | level`` items sorted by attribute
+rank, where rank is the attribute's position in the global order and
+``shift`` is the bit length of the largest level present, so the join
+matches key prefixes and a projection is a key slice.  Edges are
+``(start id, end id)`` pairs of graph ids.  A :class:`LatticeNode` is built
+once per kept candidate.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Mapping, Sequence
+from bisect import bisect_left
+from itertools import groupby, product
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.lattice.graph import CandidateGraph
 from repro.lattice.node import LatticeNode
+
+Key = tuple[int, ...]
 
 
 def initial_graph(
@@ -38,21 +49,56 @@ def initial_graph(
         heights = dict(zip(attributes, heights))
     graph = CandidateGraph()
     for attribute in attributes:
-        height = heights[attribute]
-        for level in range(height + 1):
-            graph.add_node(LatticeNode((attribute,), (level,)))
-        for level in range(height):
-            graph.add_edge(
-                LatticeNode((attribute,), (level,)),
-                LatticeNode((attribute,), (level + 1,)),
-            )
+        levels = range(heights[attribute] + 1)
+        chain = [LatticeNode((attribute,), (level,)) for level in levels]
+        for node in chain:
+            graph.add_node(node)
+        for start, end in zip(chain, chain[1:]):
+            graph.add_edge(start, end)
     return graph
 
 
-def _ordered(node: LatticeNode, rank: Mapping[str, int]) -> LatticeNode:
-    """Normalise a node's attributes to the global dimension order."""
-    items = sorted(node.items(), key=lambda item: rank[item[0]])
-    return LatticeNode.of(items)
+def _keys(nodes: Sequence[LatticeNode], order: Sequence[str]) -> tuple[list[Key], int]:
+    """Key every node, with ``shift`` the bit length of the largest level."""
+    rank = {name: position for position, name in enumerate(order)}
+    levels = [level for node in nodes for level in node.levels]
+    shift = max(levels, default=0).bit_length()
+    return [
+        tuple(sorted(rank[name] << shift | level for name, level in node.items()))
+        for node in nodes
+    ], shift
+
+
+def _node(key: Key, order: Sequence[str], shift: int) -> LatticeNode:
+    mask = (1 << shift) - 1
+    names = tuple([order[item >> shift] for item in key])
+    return LatticeNode(names, tuple([item & mask for item in key]))
+
+
+def _join(keys: Iterable[Key], shift: int) -> list[tuple[Key, Key, Key]]:
+    """Pair keys into ``(candidate, parent1, parent2)`` key triples.
+
+    Two keys join when they share all but their last item and the second's
+    last attribute ranks above the first's.
+    """
+    triples: list[tuple[Key, Key, Key]] = []
+    for _, members in groupby(sorted(keys), key=lambda key: key[:-1]):
+        group = list(members)
+        lasts = [key[-1] for key in group]
+        for p in group:
+            # The group is sorted by last item, so the partners are a suffix.
+            start = bisect_left(lasts, ((p[-1] >> shift) + 1) << shift)
+            triples.extend((p + q[-1:], p, q) for q in group[start:])
+    return triples
+
+
+def _prune(entries: Iterable[tuple], present: Collection[Key]) -> list[tuple]:
+    """Keep the entries whose first item, a key, has every projection present."""
+    return [
+        entry
+        for entry in entries
+        if all(entry[0][:d] + entry[0][d + 1:] in present for d in range(len(entry[0])))
+    ]
 
 
 def join_phase(
@@ -64,29 +110,11 @@ def join_phase(
     candidate minus its last attribute, ``parent2`` the candidate minus its
     second-to-last — exactly the two rows the paper's self-join combines.
     """
-    rank = {name: position for position, name in enumerate(order)}
-    normalised = [_ordered(node, rank) for node in survivors]
-    by_prefix: dict[tuple, list[LatticeNode]] = defaultdict(list)
-    for node in normalised:
-        prefix = tuple(zip(node.attributes[:-1], node.levels[:-1]))
-        by_prefix[prefix].append(node)
-
-    triples: list[tuple[LatticeNode, LatticeNode, LatticeNode]] = []
-    for group in by_prefix.values():
-        group = sorted(
-            group, key=lambda node: (rank[node.attributes[-1]], node.levels[-1])
-        )
-        for left_pos, p in enumerate(group):
-            p_last_rank = rank[p.attributes[-1]]
-            for q in group[left_pos + 1:]:
-                if rank[q.attributes[-1]] <= p_last_rank:
-                    continue  # requires p.dim_i < q.dim_i
-                candidate = LatticeNode(
-                    p.attributes + (q.attributes[-1],),
-                    p.levels + (q.levels[-1],),
-                )
-                triples.append((candidate, p, q))
-    return triples
+    keys, shift = _keys(survivors, order)
+    return [
+        (_node(c, order, shift), _node(p, order, shift), _node(q, order, shift))
+        for c, p, q in _join(keys, shift)
+    ]
 
 
 def prune_phase(
@@ -95,30 +123,24 @@ def prune_phase(
 ) -> list[tuple[LatticeNode, LatticeNode, LatticeNode]]:
     """Keep candidates whose every i-attribute projection survived.
 
-    A node is keyed by its ``(attribute, level)`` items sorted by attribute
-    name, so membership does not depend on the order of a survivor's
-    attributes.  Dropping one item from a sorted key leaves a sorted key,
-    so each projection is a slice of the candidate's key.
+    Any fixed attribute ranking gives every node one key, so membership
+    does not depend on the order of a survivor's attributes; names are
+    ranked alphabetically here.
     """
-    present = {tuple(sorted(node.items())) for node in survivors}
-    kept = []
-    for triple in triples:
-        key = tuple(sorted(triple[0].items()))
-        if all(key[:drop] + key[drop + 1:] in present for drop in range(len(key))):
-            kept.append(triple)
-    return kept
+    nodes = [*(triple[0] for triple in triples), *survivors]
+    keys, _ = _keys(nodes, sorted({name for n in nodes for name in n.attributes}))
+    present = set(keys[len(triples):])
+    return [triple for _, triple in _prune(zip(keys, triples), present)]
 
 
 def edge_generation(
-    graph: CandidateGraph,
-    parent_pairs: Mapping[LatticeNode, tuple[int, int]],
-    previous: CandidateGraph,
+    graph: CandidateGraph, parents: Sequence[tuple[int, int]], previous: CandidateGraph
 ) -> None:
     """Populate ``graph``'s edges from parent relationships (in place).
 
-    ``parent_pairs`` maps each candidate to the *previous-graph ids* of its
-    two parents.  An edge p → q is a candidate when one of the paper's three
-    patterns holds over the previous edge set E_i:
+    ``parents[i]`` holds the *previous-graph ids* of the two parents of the
+    node with id ``i + 1``.  An edge p → q is a candidate when one of the
+    paper's three patterns holds over the previous edge set E_i:
 
     * parent1(p) → parent1(q) ∈ E_i  and  parent2(p) → parent2(q) ∈ E_i
     * parent1(p) → parent1(q) ∈ E_i  and  parent2(p) =  parent2(q)
@@ -126,70 +148,46 @@ def edge_generation(
 
     Candidate edges implied by composing two candidate edges are then
     removed (the SQL EXCEPT) — they would be implied generalizations
-    "separated by a single node".
+    "separated by a single node".  Edges are added in ascending
+    ``(start id, end id)`` order.
     """
-    by_parents: dict[tuple[int, int], LatticeNode] = {
-        parents: candidate for candidate, parents in parent_pairs.items()
-    }
-    successors: dict[int, list[int]] = defaultdict(list)
-    for start, end in previous.edges():
-        successors[previous.id_of(start)].append(previous.id_of(end))
-
-    candidate_edges: set[tuple[LatticeNode, LatticeNode]] = set()
-    for p, (p1, p2) in parent_pairs.items():
-        for q1 in successors.get(p1, ()):
-            # pattern 2: parent1 steps, parent2 equal
-            q = by_parents.get((q1, p2))
-            if q is not None:
-                candidate_edges.add((p, q))
-            # pattern 1: both parents step
-            for q2 in successors.get(p2, ()):
-                q = by_parents.get((q1, q2))
-                if q is not None:
-                    candidate_edges.add((p, q))
-        for q2 in successors.get(p2, ()):
-            # pattern 3: parent2 steps, parent1 equal
-            q = by_parents.get((p1, q2))
-            if q is not None:
-                candidate_edges.add((p, q))
+    by_parents = {pair: node_id for node_id, pair in enumerate(parents, start=1)}
+    heads: list[set[int]] = []
+    for node_id, (p1, p2) in enumerate(parents, start=1):
+        # Each parent of q equals or directly generalizes p's: both step
+        # (pattern 1), parent1 steps (2), parent2 steps (3) or neither (p).
+        steps = product(
+            (p1, *previous.direct_generalization_ids(p1)),
+            (p2, *previous.direct_generalization_ids(p2)),
+        )
+        # Ids start at 1, so filtering falsy ids drops only the misses.
+        heads.append(set(filter(None, map(by_parents.get, steps))) - {node_id})
 
     # EXCEPT: drop edges implied by a two-edge composition.
-    heads: dict[LatticeNode, set[LatticeNode]] = defaultdict(set)
-    for start, end in candidate_edges:
-        heads[start].add(end)
-    implied = {
-        (start, final)
-        for start, middles in heads.items()
-        for middle in middles
-        for final in heads.get(middle, ())
-    }
-    for start, end in sorted(
-        candidate_edges - implied, key=lambda e: (e[0].sort_key(), e[1].sort_key())
-    ):
-        graph.add_edge(start, end)
+    for start, ends in enumerate(heads, start=1):
+        implied = {final for middle in ends for final in heads[middle - 1]}
+        for end in sorted(ends - implied):
+            graph.add_edge(start, end)
 
 
 def graph_generation(
-    survivors: Sequence[LatticeNode],
-    previous: CandidateGraph,
-    order: Sequence[str],
+    survivors: Sequence[LatticeNode], previous: CandidateGraph, order: Sequence[str]
 ) -> CandidateGraph:
     """Run join, prune, and edge generation; return C_{i+1}/E_{i+1}.
 
     ``survivors`` are the k-anonymous nodes of the previous iteration (S_i,
     all the same subset size); ``previous`` is that iteration's candidate
     graph (provides ids and E_i); ``order`` is the global attribute order.
+    Nodes are inserted in :meth:`LatticeNode.sort_key` order, so ids sort
+    as the nodes do.
     """
-    triples = join_phase(survivors, order)
-    triples = prune_phase(triples, survivors)
-
+    keys, shift = _keys(survivors, order)
+    ids = dict(zip(keys, map(previous.id_of, survivors)))
+    pruned = _prune(_join(ids, shift), ids)
+    kept = [(_node(c, order, shift), (ids[p1], ids[p2])) for c, p1, p2 in pruned]
+    kept.sort(key=lambda entry: entry[0].sort_key())
     graph = CandidateGraph()
-    parent_pairs: dict[LatticeNode, tuple[int, int]] = {}
-    for candidate, parent1, parent2 in sorted(
-        triples, key=lambda t: t[0].sort_key()
-    ):
-        parents = (previous.id_of(parent1), previous.id_of(parent2))
-        graph.add_node(candidate, parents)
-        parent_pairs[candidate] = parents
-    edge_generation(graph, parent_pairs, previous)
+    for node, parents in kept:
+        graph.add_node(node, parents)
+    edge_generation(graph, [parents for _, parents in kept], previous)
     return graph

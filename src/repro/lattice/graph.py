@@ -99,6 +99,10 @@ class CandidateGraph:
         node_id = node if isinstance(node, int) else self.id_of(node)
         return [self.node_of(end) for end in self._out.get(node_id, ())]
 
+    def direct_generalization_ids(self, node_id: int) -> tuple[int, ...]:
+        """Ids of the ends of ``node_id``'s edges, in insertion order."""
+        return tuple(self._out.get(node_id, ()))
+
     def direct_specializations(self, node: LatticeNode | int) -> list[LatticeNode]:
         node_id = node if isinstance(node, int) else self.id_of(node)
         return [self.node_of(start) for start in self._in.get(node_id, ())]
@@ -145,9 +149,7 @@ class CandidateGraph:
                 row.extend([attribute, level])
             rows.append(tuple(row))
         nodes_table = Table.from_rows(Schema.of(*names), rows)
-        edge_rows = [
-            (self.id_of(start), self.id_of(end)) for start, end in self.edges()
-        ]
+        edge_rows = [(start, end) for start, ends in self._out.items() for end in ends]
         edges_table = Table.from_rows(Schema.of("start", "end"), sorted(edge_rows))
         return nodes_table, edges_table
 
