@@ -13,10 +13,12 @@ Alongside the text figures, every invocation emits a machine-readable
 ``BENCH_incognito.json`` (schema: :mod:`repro.bench.export`) so perf
 trajectories are diffable across commits.
 
-Observability flags:
+Observability flags (defined, with the execution flags and ``--cache-mb``,
+in :mod:`repro.parallel.cli`, which ``python -m repro`` shares):
 
 * ``--trace [FILE]`` — record :mod:`repro.obs` spans to FILE (default
-  stderr): per-iteration phases, scans, rollups, group-bys.
+  stderr), creating its directory: per-iteration phases, scans, rollups,
+  group-bys.
 * ``--trace-format chrome|folded`` — render the trace as Chrome
   trace-event JSON (load the file in Perfetto / ``chrome://tracing``) or
   folded-stack flamegraph text instead of raw JSON lines.
@@ -47,12 +49,10 @@ one text file per artifact (plus the JSON document).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from repro import obs
 from repro.bench.export import (
     BENCH_FILENAME,
     bench_document,
@@ -60,9 +60,7 @@ from repro.bench.export import (
     write_bench_json,
 )
 from repro.bench.harness import Series, format_series_table
-from repro.core.fscache import FrequencySetCache, use_cache
-from repro.parallel import use_execution
-from repro.parallel.cli import add_execution_arguments, execution_from_args
+from repro.parallel.cli import add_run_arguments, run_region
 from repro.resilience import atomic_write_text, use_checkpoints
 from repro.bench.workloads import (
     adults_rows,
@@ -373,50 +371,13 @@ def main(argv: list[str] | None = None) -> int:
         help=f"where to write the benchmark JSON "
         f"(default: <--out dir or .>/{BENCH_FILENAME})",
     )
-    parser.add_argument(
-        "--trace",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="record obs trace spans as JSON lines to FILE (default stderr)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=["jsonl", "chrome", "folded"],
-        default="jsonl",
-        help="trace output format: raw JSON lines (default), Chrome "
-        "trace-event JSON (Perfetto-loadable), or folded-stack "
-        "flamegraph text",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metric histogram summaries "
-        "(count/sum/min/max/p50/p90/p99 per instrument) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top hotspots to stderr",
-    )
-    add_execution_arguments(parser)
+    add_run_arguments(parser)
     parser.add_argument(
         "--rows",
         default=None,
         metavar="N|full",
         help="override the Lands End row count for this invocation "
         f"(same as REPRO_LANDSEND_ROWS; 'full' = the paper's {FULL_ROWS:,})",
-    )
-    parser.add_argument(
-        "--cache-mb",
-        type=int,
-        default=0,
-        metavar="MB",
-        help="share a frequency-set cache of this size across all runs "
-        "(0 = off); cache.* counters land in the benchmark JSON",
     )
     parser.add_argument(
         "--checkpoint",
@@ -466,62 +427,10 @@ def main(argv: list[str] | None = None) -> int:
 
     records: list[dict] = []
 
-    if args.trace_format != "jsonl" and args.trace is None:
-        parser.error("--trace-format requires --trace FILE")
-
-    trace_sink = None
-    if args.trace is not None:
-        if args.trace_format != "jsonl":
-            # chrome/folded render from the complete span set at the end.
-            trace_sink = obs.InMemorySink()
-        elif args.trace == "-":
-            trace_sink = obs.JsonLinesSink(sys.stderr)
-        else:
-            trace_sink = obs.JsonLinesSink.open(args.trace)
-    tracer = (
-        obs.Tracer(trace_sink)
-        if trace_sink is not None or args.metrics_out is not None
-        else obs.get_tracer()
-    )
-
-    try:
-        execution = execution_from_args(args)
-        cache = (
-            FrequencySetCache(args.cache_mb * 1024 * 1024)
-            if args.cache_mb > 0
-            else None
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    try:
-        with obs.use_tracer(tracer), use_execution(execution), use_cache(
-            cache
-        ), use_checkpoints(args.checkpoint, args.resume):
-            if args.profile:
-                with obs.profile():
-                    _run_artifacts(args, records)
-            else:
-                _run_artifacts(args, records)
-    finally:
-        if isinstance(trace_sink, obs.InMemorySink):
-            rendered = obs.render_trace(
-                [span.to_dict() for span in trace_sink.spans],
-                args.trace_format,
-            )
-            if args.trace == "-":
-                sys.stderr.write(rendered)
-            else:
-                atomic_write_text(Path(args.trace), rendered)
-        elif trace_sink is not None:
-            trace_sink.close()
-        if args.metrics_out is not None:
-            atomic_write_text(
-                args.metrics_out,
-                json.dumps(
-                    tracer.metrics.as_dict(), indent=2, sort_keys=True
-                )
-                + "\n",
-            )
+    with run_region(parser, args) as execution, use_checkpoints(
+        args.checkpoint, args.resume
+    ):
+        _run_artifacts(args, records)
 
     if records:
         json_path = args.json

@@ -33,8 +33,10 @@ Subcommands
     (mondrian, partition-1d, k-optimize) order the raw domains and need
     none (absent spec entries default to one-step suppression).
 
-The figure/table benchmarks have their own entry point:
-``python -m repro.bench.run_figures``.
+The run flags go before the subcommand (``python -m repro --workers 4
+--trace t.jsonl anonymize ...``).  They are defined in
+:mod:`repro.parallel.cli` and shared with the figure/table benchmarks'
+own entry point, ``python -m repro.bench.run_figures``.
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ from repro.core.binary_search import samarati_binary_search
 from repro.core.bottomup import bottom_up_search
 from repro.core.cube import cube_incognito
 from repro.core.datafly import datafly
-from repro.core.fscache import FrequencySetCache, use_cache
 from repro.core.incognito import basic_incognito
 from repro.core.problem import PreparedTable
 from repro.core.superroots import superroots_incognito
-from repro.parallel import use_execution
-from repro.parallel.cli import add_execution_arguments, execution_from_args
+from repro.parallel.cli import add_run_arguments, run_region
 from repro.resilience import CheckpointStore, atomic_write_text
 from repro.hierarchy.spec import hierarchies_from_spec
 from repro.relational.csvio import read_csv, write_csv
@@ -131,6 +131,9 @@ def cmd_anonymize(args: argparse.Namespace) -> int:
         result = algorithm(
             problem, args.k, max_suppression=args.max_suppression, **extra
         )
+    # The run's stats-surface histograms (latency.scan_seconds and
+    # friends) feed the tracer too, so --metrics-out sees every instrument.
+    obs.get_tracer().merge_metrics(result.stats.metrics)
     if not result.found:
         print(
             f"no {args.k}-anonymous full-domain generalization exists "
@@ -329,45 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Full-domain k-anonymization (Incognito reproduction)",
     )
-    parser.add_argument(
-        "--trace",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="record obs trace spans (scans, rollups, group-bys, joins) as "
-        "JSON lines to FILE (default stderr)",
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=["jsonl", "chrome", "folded"],
-        default="jsonl",
-        help="trace output format: raw JSON lines (default), Chrome "
-        "trace-event JSON (Perfetto-loadable), or folded-stack "
-        "flamegraph text",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the run's metric histogram summaries "
-        "(count/sum/min/max/p50/p90/p99 per instrument) as JSON to PATH",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the command under cProfile and print the top hotspots",
-    )
-    add_execution_arguments(parser)
-    parser.add_argument(
-        "--cache-mb",
-        type=int,
-        default=0,
-        metavar="MB",
-        help="enable the frequency-set cache with this byte budget "
-        "(0 = off); repeat probes become cache hits instead of table scans",
-    )
+    add_run_arguments(parser)
     commands = parser.add_subparsers(dest="command", required=True)
 
     anonymize = commands.add_parser(
@@ -597,58 +562,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--base-checkpoint directory manages its own run checkpoint"
             )
 
-    if args.trace_format != "jsonl" and args.trace is None:
-        parser.error("--trace-format requires --trace FILE")
-
-    trace_sink = None
-    if args.trace is not None:
-        if args.trace_format != "jsonl":
-            # chrome/folded render from the complete span set at the end.
-            trace_sink = obs.InMemorySink()
-        elif args.trace == "-":
-            trace_sink = obs.JsonLinesSink(sys.stderr)
-        else:
-            trace_sink = obs.JsonLinesSink.open(args.trace)
-    tracer = (
-        obs.Tracer(trace_sink)
-        if trace_sink is not None or args.metrics_out is not None
-        else obs.get_tracer()
-    )
-    try:
-        execution = execution_from_args(args)
-        cache = (
-            FrequencySetCache(args.cache_mb * 1024 * 1024)
-            if args.cache_mb > 0
-            else None
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    try:
-        with obs.use_tracer(tracer), use_execution(execution), use_cache(cache):
-            if args.profile:
-                with obs.profile():
-                    return args.run(args)
-            return args.run(args)
-    finally:
-        if isinstance(trace_sink, obs.InMemorySink):
-            rendered = obs.render_trace(
-                [span.to_dict() for span in trace_sink.spans],
-                args.trace_format,
-            )
-            if args.trace == "-":
-                sys.stderr.write(rendered)
-            else:
-                atomic_write_text(Path(args.trace), rendered)
-        elif trace_sink is not None:
-            trace_sink.close()
-        if args.metrics_out is not None:
-            atomic_write_text(
-                args.metrics_out,
-                json.dumps(
-                    tracer.metrics.as_dict(), indent=2, sort_keys=True
-                )
-                + "\n",
-            )
+    with run_region(parser, args):
+        return args.run(args)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Protocol
 
 if TYPE_CHECKING:  # circular at runtime: trace.py imports sinks.py
@@ -90,14 +91,17 @@ class JsonLinesSink:
         self._last_flush = time.perf_counter()
 
     @classmethod
-    def open(cls, path: str, *, append: bool = False) -> "JsonLinesSink":
+    def open(cls, path: str | Path, *, append: bool = False) -> "JsonLinesSink":
         """Create a sink that owns (and will close) the file at ``path``.
 
-        ``append=True`` preserves existing lines — the service runner
-        reopens one job's ``trace.jsonl`` per attempt, and the earlier
-        attempts' spans must survive for the stitched trace to show the
-        whole retry history.
+        Missing parent directories are created, as
+        :func:`~repro.resilience.atomic_write_text` creates them for the
+        other trace formats.  ``append=True`` preserves existing lines —
+        the service runner reopens one job's ``trace.jsonl`` per attempt,
+        and the earlier attempts' spans must survive for the stitched
+        trace to show the whole retry history.
         """
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         sink = cls(open(path, "a" if append else "w"))
         sink._owns_stream = True
         return sink

@@ -24,8 +24,9 @@ traceback.
 A module-level *default* config can be installed for a region
 (:func:`use_execution`) so fixed-signature callers — the bench harness's
 algorithm table, the CLI — can opt whole runs into parallelism without
-threading a parameter through every layer.  Both command lines take
-their execution flags from :mod:`repro.parallel.cli`.
+threading a parameter through every layer.  Both command lines build
+their config from the run flags of :mod:`repro.parallel.cli`, whose
+``run_region`` installs it for the run.
 """
 
 from __future__ import annotations

@@ -1,12 +1,37 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets.patients import patients_table, voter_table
 from repro.relational.csvio import read_csv, write_csv
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
+def readme_commands():
+    """``(line, arguments)`` of every ``python -m repro`` command in README.md.
+
+    Backslash continuations are joined; commands holding a ``...``
+    placeholder are left out.
+    """
+    lines = README.read_text().splitlines()
+    commands = []
+    index = 0
+    while index < len(lines):
+        first = index + 1
+        _, found, text = lines[index].partition("python -m repro ")
+        while text.endswith("\\"):
+            index += 1
+            text = text[:-1] + " " + lines[index]
+        if found and "..." not in text:
+            commands.append((first, text))
+        index += 1
+    return commands
 
 
 @pytest.fixture
@@ -163,6 +188,19 @@ class TestParsing:
             main([])
 
 
+class TestReadmeCommands:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert len(commands) >= 20
+        failures = []
+        for line, command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command, comments=True))
+            except SystemExit:
+                failures.append(f"README.md:{line}: python -m repro {command}")
+        assert failures == []
+
+
 class TestObservabilityFlags:
     def test_trace_writes_json_lines(
         self, patients_csv, spec_json, tmp_path, capsys
@@ -193,6 +231,23 @@ class TestObservabilityFlags:
             "--qi", "Birthdate,Sex,Zipcode", "--k", "1",
         ])
         assert not obs.enabled()
+
+    @pytest.mark.parametrize("incremental", [False, True], ids=["plain", "append"])
+    def test_metrics_out_holds_the_run_instruments(
+        self, patients_csv, spec_json, tmp_path, incremental
+    ):
+        metrics = tmp_path / "metrics.json"
+        code = main([
+            "--metrics-out", str(metrics),
+            "anonymize", str(patients_csv),
+            "--hierarchies", str(spec_json),
+            "--k", "2",
+            "--output", str(tmp_path / "out.csv"),
+            *(["--append", str(patients_csv)] if incremental else []),
+        ])
+        assert code == 0
+        dump = json.loads(metrics.read_text())
+        assert {"latency.scan_seconds", "latency.level_seconds"} <= set(dump)
 
     def test_profile_prints_hotspots(
         self, patients_csv, spec_json, tmp_path, capsys
