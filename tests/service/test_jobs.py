@@ -60,11 +60,23 @@ class TestSpecValidation:
 class TestRetiredProcessesMode:
     def test_processes_spec_still_validates_and_runs(self):
         """Specs written before ``processes`` was retired (in a write-ahead
-        log, say) run as ``shards``, with the serial answer."""
+        log, say) still validate and give the serial answer."""
         from repro.service import runner
 
         data = {"dataset": "builtin:adults?rows=300&qi=3", "k": 2}
         spec = JobSpec.from_json({**data, "mode": "processes", "workers": 2})
+        spec.validate()
+        assert runner.comparable(runner.run_job_inline(spec)) == (
+            runner.comparable(runner.run_job_inline(JobSpec.from_json(data)))
+        )
+
+    def test_shards_spec_still_validates_and_runs(self):
+        """Specs naming the ``shards`` worker pool (in a write-ahead log,
+        say) still validate and give the serial answer."""
+        from repro.service import runner
+
+        data = {"dataset": "builtin:adults?rows=300&qi=3", "k": 2}
+        spec = JobSpec.from_json({**data, "mode": "shards", "workers": 2})
         spec.validate()
         assert runner.comparable(runner.run_job_inline(spec)) == (
             runner.comparable(runner.run_job_inline(JobSpec.from_json(data)))

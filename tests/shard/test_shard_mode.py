@@ -14,6 +14,7 @@ import pytest
 from repro.core.anonymity import FrequencyEvaluator
 from repro.core.incognito import basic_incognito
 from repro.core.stats import SearchStats
+from repro.datasets.landsend import landsend_problem_shm
 from repro.parallel import BatchMaterializer, ExecutionConfig, use_execution
 from repro.resilience import CheckpointStore, FaultPlan
 from repro.shard import SharedTableStore
@@ -162,6 +163,27 @@ class TestShardIncognito:
             sharded.stats.frequency_set_rows
             == baseline.stats.frequency_set_rows
         )
+
+    def test_streamed_problem_matches_serial_and_stays_open(self):
+        """The benchmark's full-scale flow in miniature: a Lands End table
+        streamed into shared memory and searched with
+        ``ExecutionConfig(mode="shards", workers=2)`` gives the serial
+        answer, and its store stays open for its builder to close."""
+        problem = landsend_problem_shm(2_000, qi_size=3, seed=5)
+        store = problem._shm_store
+        try:
+            baseline = basic_incognito(problem, 2)
+            sharded = basic_incognito(
+                problem, 2, execution=ExecutionConfig(mode="shards", workers=2)
+            )
+            assert sharded.anonymous_nodes == baseline.anonymous_nodes
+            assert sharded.stats.nodes_checked == baseline.stats.nodes_checked
+            assert frequency_counters(sharded.stats.counters) == (
+                frequency_counters(baseline.stats.counters)
+            )
+            assert problem._shm_store is store and not store.closed
+        finally:
+            store.close()
 
     def test_kill_resume_equals_uninterrupted(self, tmp_path):
         """A shard-mode run killed at a checkpoint resumes to the serial
