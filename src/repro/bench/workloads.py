@@ -21,7 +21,7 @@ from repro.datasets.landsend import (
     landsend_problem,
     landsend_problem_shm,
 )
-from repro.parallel import ExecutionConfig, current_execution, use_execution
+from repro.parallel import ExecutionConfig, use_execution
 
 
 def _env_rows(name: str, default: int) -> int:
@@ -40,19 +40,17 @@ def landsend_rows() -> int:
 def make_problem(database: str, qi_size: int, *, rows: int | None = None) -> PreparedTable:
     """Build the problem for one sweep point of either database.
 
-    Under the ``shards`` execution mode the Lands End table is streamed
-    straight into shared memory (:func:`landsend_problem_shm`) so a
-    full-scale sweep never materialises it as ordinary process memory and
-    shard workers attach it zero-copy; release it with
-    :func:`release_problem` when the sweep point is done.
+    The table is the same in every execution mode, so ``--workers N``
+    changes timings, never the figures.  (The streaming shared-memory
+    builder :func:`landsend_problem_shm` draws a different table than
+    :func:`landsend_problem`; only the shard-scaling sweep uses it.)
     """
     if database == "adults":
         return adults_problem(rows if rows is not None else adults_rows(), qi_size=qi_size)
     if database == "landsend":
-        num_rows = rows if rows is not None else landsend_rows()
-        if current_execution().mode == "shards":
-            return landsend_problem_shm(num_rows, qi_size=qi_size)
-        return landsend_problem(num_rows, qi_size=qi_size)
+        return landsend_problem(
+            rows if rows is not None else landsend_rows(), qi_size=qi_size
+        )
     raise ValueError(f"unknown database {database!r}")
 
 
@@ -96,17 +94,14 @@ def figure10_sweep(
     series = {name: Series(name) for name in algorithms}
     for qi_size in qi_sizes:
         problem = make_problem(database, qi_size, rows=rows)
-        try:
-            for name in algorithms:
-                run = run_algorithm(name, problem, k, repeats=repeats)
-                series[name].add(qi_size, run)
-                if progress is not None:
-                    progress(
-                        f"fig10[{database} k={k}] qid={qi_size} {name}: "
-                        f"{run.elapsed_seconds:.3f}s ({run.nodes_checked} nodes)"
-                    )
-        finally:
-            release_problem(problem)
+        for name in algorithms:
+            run = run_algorithm(name, problem, k, repeats=repeats)
+            series[name].add(qi_size, run)
+            if progress is not None:
+                progress(
+                    f"fig10[{database} k={k}] qid={qi_size} {name}: "
+                    f"{run.elapsed_seconds:.3f}s ({run.nodes_checked} nodes)"
+                )
     return [series[name] for name in algorithms]
 
 
@@ -144,23 +139,19 @@ def figure11_sweep(
         qi_size: make_problem(database, qi_size, rows=rows)
         for qi_size in {qi for _, qi in lineup}
     }
-    try:
-        series = []
-        for label, qi_size in lineup:
-            algorithm = label.split(" (QID")[0]
-            line = Series(label)
-            for k in ks:
-                run = run_algorithm(algorithm, problems[qi_size], k, repeats=repeats)
-                line.add(k, run)
-                if progress is not None:
-                    progress(
-                        f"fig11[{database}] k={k} {label}: {run.elapsed_seconds:.3f}s"
-                    )
-            series.append(line)
-        return series
-    finally:
-        for problem in problems.values():
-            release_problem(problem)
+    series = []
+    for label, qi_size in lineup:
+        algorithm = label.split(" (QID")[0]
+        line = Series(label)
+        for k in ks:
+            run = run_algorithm(algorithm, problems[qi_size], k, repeats=repeats)
+            line.add(k, run)
+            if progress is not None:
+                progress(
+                    f"fig11[{database}] k={k} {label}: {run.elapsed_seconds:.3f}s"
+                )
+        series.append(line)
+    return series
 
 
 def figure12_sweep(
@@ -180,11 +171,9 @@ def figure12_sweep(
         )
     line = Series("Cube Incognito")
     for qi_size in qi_sizes:
-        problem = make_problem(database, qi_size, rows=rows)
-        try:
-            run = run_algorithm("Cube Incognito", problem, k)
-        finally:
-            release_problem(problem)
+        run = run_algorithm(
+            "Cube Incognito", make_problem(database, qi_size, rows=rows), k
+        )
         line.add(qi_size, run)
         if progress is not None:
             progress(

@@ -14,6 +14,7 @@ from repro.bench.workloads import (
     release_problem,
     shard_scale_sweep,
 )
+from repro.core.incognito import basic_incognito
 from repro.parallel import ExecutionConfig, use_execution
 
 ROWS = 800  # miniature scale: exercise the plumbing, not the timings
@@ -33,15 +34,28 @@ class TestMakeProblem:
         with pytest.raises(ValueError):
             make_problem("nope", 3)
 
-    def test_landsend_is_shm_backed_under_shards(self):
-        config = ExecutionConfig(mode="shards", workers=2)
-        with use_execution(config):
-            problem = make_problem("landsend", 3, rows=ROWS)
-        try:
-            assert getattr(problem, "_shm_store", None) is not None
-        finally:
-            release_problem(problem)
-        assert problem._shm_store.closed
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            ExecutionConfig.from_workers(2),
+            ExecutionConfig(mode="shards", workers=2),
+        ],
+        ids=["from-workers", "shards"],
+    )
+    def test_landsend_is_the_same_in_every_mode(self, execution):
+        """``--workers N`` changes timings, never the figures: a sweep
+        point has the serial run's rows and Basic Incognito answer."""
+        serial = make_problem("landsend", 4, rows=2_000)
+        expected = basic_incognito(serial, 2)
+        with use_execution(execution):
+            problem = make_problem("landsend", 4, rows=2_000)
+            try:
+                assert problem.table.to_rows() == serial.table.to_rows()
+                result = basic_incognito(problem, 2)
+            finally:
+                release_problem(problem)
+        assert result.anonymous_nodes == expected.anonymous_nodes
+        assert result.stats.nodes_checked == expected.stats.nodes_checked
 
     def test_release_problem_is_a_noop_without_store(self):
         release_problem(make_problem("adults", 3, rows=ROWS))
