@@ -9,10 +9,10 @@ A ``shards`` worker is initialised once by :func:`init_worker_shared`
 with a small :class:`~repro.shard.shm.SharedProblemHandle`; the problem it
 rebuilds reads the QI code arrays zero-copy from the parent's
 shared-memory segments.  After that, each :func:`run_chunk` call ships
-only lattice nodes, scan plans (row ranges plus any remembered base) and,
-for rollup jobs, the source set's two arrays — never the base table.  A
-scan job loops over its plan's ranges in the worker, exactly as in a
-serial run.
+only lattice nodes and plain scan plans (row ranges) — never the base
+table, and never a frequency set: the parent runs every rollup and
+delta scan itself.  A scan job loops over its plan's ranges in the
+worker, exactly as in a serial run.
 
 Results come back as raw ``(key_codes, counts)`` array pairs together with
 the chunk's :class:`~repro.obs.counters.CounterSet` stats delta and its
@@ -244,30 +244,20 @@ def run_chunk(
 ) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
     """:func:`execute_chunk` in a ``shards`` worker process.
 
-    A rollup job's source set arrives exploded to ``(source_node,
-    key_codes, counts)`` and is rebuilt against the worker-resident
-    problem.  The chunk's spans land in this worker's own trace file (see
-    :func:`init_worker_shared`) before the result ships, so a worker
-    killed between chunks loses no spans for chunks it completed.
+    Its jobs are plain scans — a node and its plan's row ranges, read from
+    the worker-resident problem — because the parent keeps every job that
+    carries a frequency set.  The chunk's spans land in this worker's own
+    trace file (see :func:`init_worker_shared`) before the result ships,
+    so a worker killed between chunks loses no spans for chunks it
+    completed.
     """
     from repro import obs
-    from repro.core.anonymity import FrequencySet
 
     # ra: RA003 -- read of the initializer-installed problem (see above);
     # never mutated after init_worker_shared, so results stay deterministic.
     problem = _PROBLEM
     if problem is None:
         raise RuntimeError("worker used before its pool initializer ran")
-    jobs = [
-        (
-            node,
-            kind,
-            FrequencySet(*payload, problem)
-            if kind == "rollup" and payload is not None
-            else payload,
-        )
-        for node, kind, payload in jobs
-    ]
     result = execute_chunk(
         problem, jobs, directive, submitted_at, traceparent, in_process=True
     )
