@@ -86,11 +86,13 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel-mode",
         choices=["threads", "processes", "shards"],
-        default="shards",
-        help="worker backend when --workers > 1 (default: shards, worker "
-        "processes that attach the table in shared memory and each run "
-        "whole scan and rollup jobs; threads avoid process start-up "
-        "cost on small tables; processes is an alias for shards)",
+        default="threads",
+        help="worker backend when --workers > 1 (default: threads, which "
+        "share the table and rollup sources with the parent; shards are "
+        "worker processes that attach the table in shared memory and run "
+        "the table scans while the parent rolls up, which pays off when "
+        "jobs are too small to release the GIL; processes is an alias "
+        "for shards)",
     )
     parser.add_argument(
         "--shard-rows",

@@ -1,13 +1,14 @@
 """Execution configuration for the parallel frequency-set evaluator.
 
 An :class:`ExecutionConfig` names the backend (``serial`` — the
-zero-dependency fallback; ``threads`` — cheap for small tables where
-process start-up dominates; ``shards`` — worker processes that attach the
-QI code arrays in shared memory zero-copy and run whole scan and rollup
-jobs in parallel, see :mod:`repro.shard`), the worker count, and the
-width of the row ranges a table scan loops over (``shard_rows``).  It is
-immutable and normalising: one worker is always the serial config, and
-the retired ``processes`` mode name is accepted as ``shards``, so
+zero-dependency fallback; ``threads`` — a thread pool sharing the
+parent's table and rollup sources, the default for more than one worker;
+``shards`` — worker processes that attach the QI code arrays in shared
+memory zero-copy and run the table scans while the parent rolls up, see
+:mod:`repro.shard`), the worker count, and the width of the row ranges
+a table scan loops over (``shard_rows``).  It is immutable and
+normalising: one worker is always the serial config, and the retired
+``processes`` mode name is accepted as ``shards``, so
 ``ExecutionConfig.from_workers`` can be fed a CLI ``--workers`` value
 directly and old job specs keep working.
 
@@ -136,7 +137,7 @@ class ExecutionConfig:
     ) -> "ExecutionConfig":
         """Build from CLI-style inputs; ``workers`` absent/1 is serial.
 
-        More workers default to the ``shards`` mode.
+        More workers default to the ``threads`` mode.
 
         A zero or negative worker count is a user error, not a request
         for serial execution, and raises ``ValueError``.
@@ -145,7 +146,7 @@ class ExecutionConfig:
             return cls()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        return cls(mode=mode or "shards", workers=workers)
+        return cls(mode=mode or "threads", workers=workers)
 
 
 #: Region default used when algorithms are called without explicit config.
