@@ -7,8 +7,8 @@ into row shards, compute per-shard frequency sets, and merge them exactly
 ranges (:meth:`repro.core.anonymity.FrequencyEvaluator.plan_scan`), which
 the job holding the plan loops over and merges in every execution mode.
 This package supplies what the ``shards`` mode of :mod:`repro.parallel`
-adds: worker processes that run whole jobs against the table without a
-copy of it.
+adds: worker processes that run whole table scans against the table
+without a copy of it.
 
 * :mod:`repro.shard.shm` — QI code arrays backed by named
   ``multiprocessing.shared_memory`` segments, so pool workers attach
