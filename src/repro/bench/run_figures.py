@@ -89,7 +89,7 @@ QUICK_SHARD_WIDTH = 1_024
 QUICK_SHARD_WORKERS = 2
 
 #: The service workload: identical jobs pushed through the job server at
-#: each concurrency width.  Spawned-runner cold start dominates each job,
+#: each concurrency width.  Each job anonymizes the 96-row service CSV,
 #: so the batch stays CI-sized even at the full job count.
 SERVICE_JOBS = 12
 QUICK_SERVICE_JOBS = 6

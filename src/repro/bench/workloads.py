@@ -333,7 +333,7 @@ def _service_dataset_csv(directory) -> str:
 
     String-typed ages with a rounding hierarchy and a suppression column
     survive the CSV round trip bit-exactly (no schema inference), so every
-    job over this dataset is deterministic across spawned runners.
+    job over this dataset is deterministic across runner processes.
     """
     from pathlib import Path
 
@@ -360,14 +360,15 @@ def service_job_sweep(
     """Job-server throughput: ``jobs`` identical jobs per concurrency width.
 
     Each configuration drives a real :class:`repro.service.manager.JobManager`
-    (spawned runner subprocesses, WAL persistence — the full service stack
-    minus HTTP) on a throwaway data directory, submits ``jobs`` identical
-    anonymization jobs, and waits for the batch to go idle.  The measured
-    elapsed time is the batch wall clock, so jobs/sec is ``jobs / elapsed``
-    (recorded under ``service.jobs_per_second`` in the raw counter dump) and
-    the p99 job latency rides along in the ``latency.job_total_seconds``
-    metric summary — both land in ``BENCH_incognito.json`` where the
-    regression gate diffs them.
+    (runner subprocesses forked from a preloaded fork server, WAL
+    persistence — the full service stack minus HTTP) on a throwaway data
+    directory, submits ``jobs`` identical anonymization jobs, and waits
+    for the batch to go idle.  The measured elapsed time is the batch wall
+    clock, so jobs/sec is ``jobs / elapsed`` (recorded under
+    ``service.jobs_per_second`` in the raw counter dump) and the p99 job
+    latency rides along in the ``latency.job_total_seconds`` metric
+    summary — both land in ``BENCH_incognito.json`` where the regression
+    gate diffs them.
     """
     import tempfile
     import time

@@ -2,7 +2,7 @@
 
 One *job* is one *trace*: the server opens a trace at submission, and
 every process that later works on the job — the manager's scheduler, the
-spawned runner child, and each pool/shard worker — records its spans
+forked runner child, and each pool/shard worker — records its spans
 under the same 128-bit trace id, each carrying the span id of its remote
 parent.  The context travels as a ``traceparent`` string::
 
@@ -84,8 +84,8 @@ def new_span_id() -> int:
 def process_identity() -> tuple[int, str]:
     """``(pid, process name)`` of the calling process, freshly read.
 
-    The name comes from :mod:`multiprocessing`, so spawned runner
-    children report the ``repro-job-<id>`` name the manager gave them
+    The name comes from :mod:`multiprocessing`, so runner children
+    report the ``repro-job-<id>`` name the manager gave them
     and pool workers report their pool-assigned name.
     """
     import multiprocessing

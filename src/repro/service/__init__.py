@@ -14,9 +14,10 @@ robustness:
   reference: ``builtin:``, ``csv:``, ``sqlite:``, ``memory:``;
 * **wal** (:mod:`repro.service.wal`) — write-ahead, fsync'd persistence
   of every transition; queued/running jobs survive a server SIGKILL;
-* **runner** (:mod:`repro.service.runner`) — per-job spawned
-  subprocesses with heartbeats, SIGTERM-drain, checkpoint resume, and
-  the bit-identity result fingerprint the chaos suite asserts;
+* **runner** (:mod:`repro.service.runner`) — per-job subprocesses,
+  forked from a preloaded fork server, with heartbeats, SIGTERM-drain,
+  checkpoint resume, and the bit-identity result fingerprint the chaos
+  suite asserts;
 * **manager** (:mod:`repro.service.manager`) — admission control,
   bounded retries with backoff, heartbeat/deadline watchdogs, startup
   recovery (including the shared-memory orphan sweep), graceful drain;

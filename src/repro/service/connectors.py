@@ -17,11 +17,12 @@ disk, and real stores.  A reference is ``kind:target`` with optional
     module.  Like csv, the job supplies ``qi`` + ``hierarchies``.
 ``memory:name``
     A table registered in-process via :func:`register_memory_dataset` —
-    the fixture/test connector.  Because job runners are *spawned*
-    subprocesses (nothing is inherited), the manager spills memory
-    datasets to a CSV inside the job directory at submission time and
-    rewrites the reference (:func:`spill_memory_dataset`), which also
-    makes the job resumable after a server restart.
+    the fixture/test connector.  Because job runners are forked from a
+    preloaded fork server, which never saw the registry, the manager
+    spills memory datasets to a CSV inside the job directory at
+    submission time and rewrites the reference
+    (:func:`spill_memory_dataset`), which also makes the job resumable
+    after a server restart.
 
 Connectors are deliberately read-only: a job loads its input, anonymizes,
 and writes results into its own job directory — the service never mutates
@@ -204,8 +205,8 @@ def load_problem(spec: "JobSpec") -> "PreparedTable":
 def spill_memory_dataset(spec: "JobSpec", job_dir: Path) -> "JobSpec":
     """Materialise a ``memory:`` reference into the job's directory.
 
-    Job runners are spawned subprocesses and inherit nothing, and a
-    server restart loses the in-process registry entirely — so at
+    Job runners are forked from a preloaded fork server, which never saw
+    the registry, and a server restart loses the registry entirely — so at
     admission time the manager spills the registered table to
     ``<job_dir>/dataset.csv`` and rewrites the reference to ``csv:``.
     Non-memory references pass through untouched.

@@ -1,8 +1,8 @@
 """The per-job subprocess runner: isolation, heartbeats, drain, resume.
 
-Every accepted job executes in its own *spawned* subprocess
-(:func:`run_job_child` is the process target), for three reasons the
-robustness contract depends on:
+Every accepted job attempt executes in its own subprocess, forked from a
+preloaded fork server (:func:`run_job_child` is the process target), for
+three reasons the robustness contract depends on:
 
 * **crash containment** — a runner that segfaults, OOMs, or is killed by
   the watchdog takes down one job's attempt, never the server;
