@@ -38,7 +38,6 @@ from repro.resilience.checkpoint import (
     nodes_from_json,
     nodes_to_json,
     problem_fingerprint,
-    resolve_checkpoint,
     segment_fingerprint,
     set_default_checkpoints,
     use_checkpoints,
@@ -67,7 +66,6 @@ __all__ = [
     "nodes_from_json",
     "nodes_to_json",
     "problem_fingerprint",
-    "resolve_checkpoint",
     "segment_fingerprint",
     "set_default_checkpoints",
     "use_checkpoints",
