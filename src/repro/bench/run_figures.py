@@ -36,7 +36,9 @@ Resilience knobs (see :mod:`repro.resilience`): ``--chunk-timeout`` /
 SPEC`` deterministically injects worker failures (figures and structural
 counters are unchanged; ``fault.*`` / ``retry.*`` counters land in the
 JSON), and ``--checkpoint DIR`` + ``--resume`` let an interrupted sweep
-pick up where it stopped without re-scanning completed levels.  The JSON
+of fig10-12 or nodes pick up where it stopped without re-scanning
+completed levels (the shard, incremental and service artifacts keep no
+checkpoint: each compares two ways of computing one answer).  The JSON
 export itself is written atomically, so a killed sweep never leaves a
 torn ``BENCH_incognito.json``.
 
@@ -232,14 +234,17 @@ def run_shard(
     """The shard-scaling artifact: serial vs shards on one shm table."""
     if quick:
         workers, shard_rows = QUICK_SHARD_WORKERS, QUICK_SHARD_WIDTH
-    series = shard_scale_sweep(
-        k=QUICK_K,
-        qi_size=4,
-        rows=QUICK_SHARD_ROWS if quick else None,
-        workers=workers,
-        shard_rows=shard_rows,
-        progress=_progress,
-    )
+    # Both lines run one algorithm on one table, so they would share a
+    # checkpoint file; the sweep is cheap to redo, so it keeps none.
+    with use_checkpoints(None):
+        series = shard_scale_sweep(
+            k=QUICK_K,
+            qi_size=4,
+            rows=QUICK_SHARD_ROWS if quick else None,
+            workers=workers,
+            shard_rows=shard_rows,
+            progress=_progress,
+        )
     _collect_series(records, "shard", "landsend", "qid_size", series, k=QUICK_K)
     title = (
         f"Shard scaling — landsend database (k={QUICK_K}, QID=4): serial vs "
@@ -255,13 +260,16 @@ def run_incremental(
     quick: bool = False,
 ) -> None:
     """The incremental artifact: streamed re-anonymization vs from-scratch."""
-    series = incremental_sweep(
-        k=QUICK_K,
-        qi_size=QUICK_INCREMENTAL_QI if quick else 5,
-        batches=INCREMENTAL_BATCHES,
-        rows=QUICK_INCREMENTAL_ROWS if quick else None,
-        progress=_progress,
-    )
+    # The last version and the from-scratch run share a table, so they
+    # would share a checkpoint file; the sweep is cheap to redo.
+    with use_checkpoints(None):
+        series = incremental_sweep(
+            k=QUICK_K,
+            qi_size=QUICK_INCREMENTAL_QI if quick else 5,
+            batches=INCREMENTAL_BATCHES,
+            rows=QUICK_INCREMENTAL_ROWS if quick else None,
+            progress=_progress,
+        )
     _collect_series(
         records, "incremental", "adults", "batches", series, k=QUICK_K
     )
@@ -384,9 +392,11 @@ def main(argv: list[str] | None = None) -> int:
         type=Path,
         default=None,
         metavar="DIR",
-        help="checkpoint every algorithm run into DIR (one file per "
-        "algorithm/k/problem, atomic writes); with --resume an "
-        "interrupted sweep skips completed levels",
+        help="checkpoint the algorithm runs of fig10, fig11, fig12 and "
+        "nodes into DIR (one file per algorithm, k, suppression budget and "
+        "table; atomic writes); with --resume an interrupted sweep skips "
+        "completed levels.  The shard, incremental and service artifacts "
+        "keep no checkpoint",
     )
     parser.add_argument(
         "--resume",

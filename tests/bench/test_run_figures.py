@@ -111,3 +111,37 @@ class TestQuickTrace:
         assert all(r["name"] == "bench.run" for r in roots)
         deepest = max(record["depth"] for record in records)
         assert deepest >= 2
+
+
+def test_resumed_quick_sweep_reports_each_runs_own_counters(tmp_path):
+    """A ``--resume`` of a ``--checkpoint`` sweep replays every run as
+    itself: no figure line may pick up another line's checkpoint."""
+
+    def sweep(name, *extra):
+        path = tmp_path / f"{name}.json"
+        code = run_figures.main(
+            [
+                "--quick",
+                "--checkpoint", str(tmp_path / "checkpoints"),
+                "--out", str(tmp_path / name),
+                "--json", str(path),
+                *extra,
+            ]
+        )
+        assert code == 0
+        return json.loads(path.read_text())["runs"]
+
+    def untimed(run):
+        return {
+            key: value
+            for key, value in run["raw_counters"].items()
+            if "second" not in key
+        }
+
+    fresh = sweep("fresh")
+    resumed = sweep("resumed", "--resume")
+    assert len(resumed) == len(fresh)
+    for before, after in zip(fresh, resumed):
+        label = (before["figure"], before["algorithm"], before["x_value"])
+        assert (after["figure"], after["algorithm"], after["x_value"]) == label
+        assert untimed(after) == untimed(before), label
