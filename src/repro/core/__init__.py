@@ -12,6 +12,9 @@ Public surface:
   :func:`~repro.core.bottomup.bottom_up_search`,
   :func:`~repro.core.datafly.datafly` — the prior algorithms Incognito is
   evaluated against (Sections 2.2 and 6).
+* :data:`ALGORITHMS` — every search by the tag ``--algorithm`` and job
+  specs name it with; :data:`CHECKPOINTED_ALGORITHMS` — the tags of those
+  that checkpoint after every level (:mod:`~repro.core.run`).
 * :class:`~repro.core.result.AnonymizationResult` and
   :mod:`~repro.core.minimality` — result sets and minimality criteria.
 * :func:`~repro.core.generalize.apply_generalization` — produce the
@@ -22,6 +25,8 @@ Public surface:
   :func:`~repro.core.fscache.use_cache` — the cross-algorithm frequency-set
   cache (pairs with :mod:`repro.parallel` for execution backends).
 """
+
+from typing import Callable
 
 from repro.core.anonymity import (
     FrequencyEvaluator,
@@ -48,7 +53,21 @@ from repro.core.result import AnonymizationResult
 from repro.core.stats import SearchStats
 from repro.core.superroots import superroots_incognito
 
+ALGORITHMS: dict[str, Callable[..., AnonymizationResult]] = {
+    "basic": basic_incognito,
+    "superroots": superroots_incognito,
+    "cube": cube_incognito,
+    "binary": samarati_binary_search,
+    "bottomup": bottom_up_search,
+    "datafly": datafly,
+}
+
+#: Every tag but the Datafly heuristic, which has no levels to checkpoint.
+CHECKPOINTED_ALGORITHMS = tuple(tag for tag in ALGORITHMS if tag != "datafly")
+
 __all__ = [
+    "ALGORITHMS",
+    "CHECKPOINTED_ALGORITHMS",
     "AnonymizationResult",
     "FrequencyEvaluator",
     "FrequencySet",

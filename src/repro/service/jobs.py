@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro.core import CHECKPOINTED_ALGORITHMS
 from repro.parallel.config import MODES
 
 #: Job states (see the module docstring for the transition diagram).
@@ -51,10 +52,9 @@ TERMINAL_STATES = frozenset({SUCCEEDED, FAILED, CANCELLED})
 #: All recognised states.
 ALL_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 
-#: Algorithms a job may request (the CLI's registry minus ``datafly``,
-#: which has no level-synchronous structure to checkpoint — a service job
-#: must be resumable by construction).
-JOB_ALGORITHMS = ("basic", "superroots", "cube", "binary", "bottomup")
+#: Algorithms a job may request: those that checkpoint after every level,
+#: since a service job must be resumable by construction.
+JOB_ALGORITHMS = CHECKPOINTED_ALGORITHMS
 
 
 class JobValidationError(ValueError):

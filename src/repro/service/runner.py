@@ -45,10 +45,11 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core import ALGORITHMS
 from repro.resilience.atomicio import atomic_write_json
 from repro.resilience.checkpoint import CheckpointStore
 
@@ -75,22 +76,6 @@ class DrainRequested(BaseException):
     Derives from ``BaseException`` so ordinary ``except Exception``
     error handling inside algorithms cannot swallow a drain.
     """
-
-
-def _algorithm_registry() -> dict[str, Callable]:
-    from repro.core.binary_search import samarati_binary_search
-    from repro.core.bottomup import bottom_up_search
-    from repro.core.cube import cube_incognito
-    from repro.core.incognito import basic_incognito
-    from repro.core.superroots import superroots_incognito
-
-    return {
-        "basic": basic_incognito,
-        "superroots": superroots_incognito,
-        "cube": cube_incognito,
-        "binary": samarati_binary_search,
-        "bottomup": bottom_up_search,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +154,7 @@ def run_job_inline(spec: "JobSpec") -> dict[str, Any]:
     from repro.service.connectors import load_problem
 
     problem = load_problem(spec)
-    algorithm = _algorithm_registry()[spec.algorithm]
+    algorithm = ALGORITHMS[spec.algorithm]
     with _execution_region(spec):
         result = algorithm(problem, spec.k, max_suppression=spec.max_suppression)
     return result_payload(problem, result, spec.to_json())
@@ -347,7 +332,7 @@ def run_job_child(
                     from repro.service.connectors import load_problem
 
                     problem = load_problem(spec)
-                    algorithm = _algorithm_registry()[spec.algorithm]
+                    algorithm = ALGORITHMS[spec.algorithm]
                     with _execution_region(spec):
                         result = algorithm(
                             problem,
