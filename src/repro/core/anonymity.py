@@ -24,6 +24,7 @@ from typing import Any, NamedTuple, Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.fscache import current_delta_context
 from repro.core.problem import PreparedTable
 from repro.core.stats import SearchStats
 from repro.lattice.node import LatticeNode
@@ -310,10 +311,7 @@ class FrequencyEvaluator:
             cache.bind(problem)
         # Adopt the region-default delta context when it serves exactly
         # this dataset version (fingerprint equality covers QI-subset
-        # views, which share table and compiled hierarchies).  Imported
-        # lazily: repro.incremental sits above repro.core.
-        from repro.incremental.context import current_delta_context
-
+        # views, which share table and compiled hierarchies).
         delta = current_delta_context()
         self._delta = (
             delta if delta is not None and delta.matches(problem) else None

@@ -90,12 +90,6 @@ class RootProvider:
         """
         return None
 
-    def frequency_set(
-        self, evaluator: FrequencyEvaluator, node: LatticeNode
-    ) -> FrequencySet:
-        """Materialise a root's frequency set (serial convenience path)."""
-        return evaluator.materialize(node, self.root_source(evaluator, node))
-
 
 class ScanRootProvider(RootProvider):
     """Basic Incognito: every root costs one scan of the base table.

@@ -9,19 +9,17 @@ frequency sets, and ``frequency.*`` counters — to from-scratch runs by the
 differential suites in ``tests/incremental``.  See DESIGN.md §11.
 """
 
-from repro.incremental.context import (
+from repro.core.fscache import (
     DEFAULT_MAX_BYTES,
     DeltaContext,
     DeltaPiece,
     current_delta_context,
-    set_default_delta_context,
     use_delta_context,
 )
 from repro.incremental.session import (
     ALGORITHMS,
     IncrementalSession,
     VersionedDataset,
-    resolve_algorithm,
 )
 
 __all__ = [
@@ -32,7 +30,5 @@ __all__ = [
     "IncrementalSession",
     "VersionedDataset",
     "current_delta_context",
-    "resolve_algorithm",
-    "set_default_delta_context",
     "use_delta_context",
 ]

@@ -11,7 +11,7 @@ prefix-stable, every frequency set computed at an earlier version remains
 the exact partial set of its row prefix in the new version.
 
 :class:`IncrementalSession` drives re-anonymization over that chain: it
-keeps a :class:`~repro.incremental.context.DeltaContext` of remembered
+keeps a :class:`~repro.core.fscache.DeltaContext` of remembered
 per-node prefix sets, installs it for each run so the evaluator scans only
 the appended suffix (scan plans with a remembered base), and — when given
 a checkpoint directory — persists the pieces together with the fingerprint
@@ -38,14 +38,14 @@ from typing import Any, Callable
 
 from repro import obs
 from repro.core import ALGORITHMS as CORE_ALGORITHMS
-from repro.core.problem import PreparedTable
-from repro.core.result import AnonymizationResult
-from repro.incremental.context import (
+from repro.core.fscache import (
     DEFAULT_MAX_BYTES,
     DeltaContext,
     DeltaPiece,
     use_delta_context,
 )
+from repro.core.problem import PreparedTable
+from repro.core.result import AnonymizationResult
 from repro.relational.table import Table
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -58,29 +58,10 @@ from repro.resilience.checkpoint import (
     segment_fingerprint,
 )
 
-#: The incremental-capable search algorithms, by CLI tag (with aliases).
+#: The incremental-capable search algorithms, by CLI tag.
 ALGORITHMS: dict[str, Callable[..., AnonymizationResult]] = {
     tag: CORE_ALGORITHMS[tag] for tag in ("basic", "bottomup", "binary")
 }
-
-_ALIASES = {
-    "basic-incognito": "basic",
-    "incognito": "basic",
-    "bottom-up": "bottomup",
-    "binary-search": "binary",
-    "samarati": "binary",
-}
-
-
-def resolve_algorithm(name: str) -> str:
-    """Canonical algorithm tag for ``name``; raises on unknown names."""
-    tag = _ALIASES.get(name, name)
-    if tag not in ALGORITHMS:
-        known = sorted(set(ALGORITHMS) | set(_ALIASES))
-        raise ValueError(
-            f"unknown incremental algorithm {name!r} (choose from {known})"
-        )
-    return tag
 
 
 class VersionedDataset:
@@ -162,8 +143,13 @@ class IncrementalSession:
         checkpoint_dir: str | Path | None = None,
         max_bytes: int | None = None,
     ) -> None:
-        self.algorithm = resolve_algorithm(algorithm)
-        self._run_algorithm = ALGORITHMS[self.algorithm]
+        if algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown incremental algorithm {algorithm!r} "
+                f"(choose from {sorted(ALGORITHMS)})"
+            )
+        self.algorithm = algorithm
+        self._run_algorithm = ALGORITHMS[algorithm]
         self.k = int(k)
         self.max_suppression = int(max_suppression)
         self.dataset = VersionedDataset(problem)

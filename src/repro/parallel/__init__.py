@@ -30,7 +30,6 @@ from repro.parallel.config import (
     MODES,
     ExecutionConfig,
     current_execution,
-    set_default_execution,
     use_execution,
 )
 from repro.parallel.evaluator import BatchMaterializer
@@ -40,6 +39,5 @@ __all__ = [
     "BatchMaterializer",
     "ExecutionConfig",
     "current_execution",
-    "set_default_execution",
     "use_execution",
 ]

@@ -158,19 +158,12 @@ def current_execution() -> ExecutionConfig:
     return _default_execution
 
 
-def set_default_execution(config: ExecutionConfig) -> ExecutionConfig:
-    """Install ``config`` as the region default; returns the previous one."""
-    global _default_execution
-    previous = _default_execution
-    _default_execution = config
-    return previous
-
-
 @contextmanager
 def use_execution(config: ExecutionConfig) -> Iterator[ExecutionConfig]:
     """Temporarily install ``config`` as the region default."""
-    previous = set_default_execution(config)
+    global _default_execution
+    previous, _default_execution = _default_execution, config
     try:
         yield config
     finally:
-        set_default_execution(previous)
+        _default_execution = previous

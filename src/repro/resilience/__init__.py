@@ -39,7 +39,6 @@ from repro.resilience.checkpoint import (
     nodes_to_json,
     problem_fingerprint,
     segment_fingerprint,
-    set_default_checkpoints,
     use_checkpoints,
 )
 from repro.resilience.faults import (
@@ -67,6 +66,5 @@ __all__ = [
     "nodes_to_json",
     "problem_fingerprint",
     "segment_fingerprint",
-    "set_default_checkpoints",
     "use_checkpoints",
 ]

@@ -396,27 +396,19 @@ _default_dir: Path | None = None
 _default_resume: bool = False
 
 
-def set_default_checkpoints(
-    directory: str | Path | None, resume: bool = False
-) -> tuple[Path | None, bool]:
-    """Install a region-default checkpoint directory; returns the previous."""
-    global _default_dir, _default_resume
-    previous = (_default_dir, _default_resume)
-    _default_dir = Path(directory) if directory is not None else None
-    _default_resume = bool(resume)
-    return previous
-
-
 @contextmanager
 def use_checkpoints(
     directory: str | Path | None, resume: bool = False
 ) -> Iterator[Path | None]:
     """Temporarily install a region-default checkpoint directory."""
-    previous = set_default_checkpoints(directory, resume)
+    global _default_dir, _default_resume
+    previous = (_default_dir, _default_resume)
+    _default_dir = Path(directory) if directory is not None else None
+    _default_resume = bool(resume)
     try:
         yield _default_dir
     finally:
-        set_default_checkpoints(previous[0], previous[1])
+        _default_dir, _default_resume = previous
 
 
 def current_checkpoints() -> tuple[Path | None, bool]:

@@ -86,10 +86,10 @@ DEFAULT_HEARTBEAT_TIMEOUT = 5.0
 STARTUP_GRACE_SECONDS = 30.0
 
 #: What the fork server imports once, so that every runner forked from
-#: it starts with the engine loaded: the runner (which pulls in
-#: ``repro``, ``repro.core`` and numpy) and the delta-scan context that
-#: every scan imports lazily.  A serial job imports nothing beyond these.
-RUNNER_PRELOAD = ("repro.service.runner", "repro.incremental.context")
+#: it starts with the engine loaded: the runner, which pulls in
+#: ``repro``, ``repro.core`` and numpy.  A serial job imports nothing
+#: beyond it.
+RUNNER_PRELOAD = ("repro.service.runner",)
 
 #: Injected fault kinds the job layer understands (drawn from FaultPlan;
 #: ``timeout`` maps to a hang so the watchdog path is what recovers).

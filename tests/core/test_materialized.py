@@ -49,7 +49,9 @@ class TestProvider:
         evaluator = FrequencyEvaluator(problem)
         provider = MaterializedCubeProvider(problem, evaluator)
         for node in problem.lattice().nodes():
-            served = provider.frequency_set(evaluator, node)
+            served = evaluator.materialize(
+                node, provider.root_source(evaluator, node)
+            )
             direct = compute_frequency_set(problem, node)
             assert served.as_dict() == direct.as_dict(), str(node)
 

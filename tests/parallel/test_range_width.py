@@ -23,7 +23,7 @@ import pytest
 from repro.core.anonymity import FrequencyEvaluator, compute_frequency_set_range
 from repro.core.problem import PreparedTable
 from repro.core.stats import SearchStats
-from repro.incremental.context import DeltaContext, DeltaPiece, use_delta_context
+from repro.incremental import DeltaContext, DeltaPiece, use_delta_context
 from repro.parallel import BatchMaterializer, ExecutionConfig
 from tests.conftest import make_random_problem
 from tests.reference import ReferenceFrequencies, assert_matches_reference
