@@ -18,13 +18,22 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.resilience.faults import FaultPlan
+from repro.service import manager as manager_module
 from repro.service import runner
-from repro.service.jobs import AdmissionError, JobSpec, JobValidationError
+from repro.service.jobs import (
+    QUEUED,
+    RUNNING,
+    SUCCEEDED,
+    AdmissionError,
+    JobSpec,
+    JobValidationError,
+)
 from repro.service.manager import JobManager
 from tests.service.conftest import job_payload, write_dataset_csv
 
@@ -195,6 +204,72 @@ class TestExecution:
             assert record.attempt == 1
             assert record.cause  # the child's exception, recorded
             assert manager.counters.as_dict().get("service.retries", 0) == 0
+        finally:
+            manager.drain()
+
+
+def reaches(manager: JobManager, job_id: str, state: str, timeout: float) -> bool:
+    """Poll the job's state (not the scheduler's cadence) until ``state``."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if manager.get(job_id).state == state:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestWakeUps:
+    """With a 10 s poll, a job that waited for ticks would take 20 s or
+    more: only the submit, cancel, drain and runner-exit wake-ups make
+    these finish within 5 s."""
+
+    @pytest.fixture(autouse=True)
+    def slow_poll(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "POLL_INTERVAL", 10.0)
+
+    def test_job_launches_on_submit_and_is_collected_on_exit(
+        self, tmp_path, monkeypatch
+    ):
+        manager = JobManager(tmp_path / "svc", **FAST)
+        ticks = []
+        tick = manager._tick
+        monkeypatch.setattr(manager, "_tick", lambda: ticks.append(1) or tick())
+        manager.start()
+        try:
+            record = manager.submit(make_spec(tmp_path))
+            succeeded = reaches(manager, record.id, SUCCEEDED, 5.0)
+            # The collected runner left the wait set: no tick without a wake.
+            settled = len(ticks)
+            time.sleep(0.3)
+            idle_ticks = len(ticks) - settled
+        finally:
+            began = time.monotonic()
+            manager.drain()
+            drain_seconds = time.monotonic() - began
+        assert succeeded
+        assert idle_ticks <= 1
+        assert drain_seconds < 5.0
+        assert_bit_identical(manager, manager.get(record.id))
+
+    def test_cancelling_a_running_job_starts_the_next_at_once(self, tmp_path):
+        # Every attempt hangs after its first checkpoint, with the
+        # watchdog held off, so the first job runs until it is cancelled.
+        manager = JobManager(
+            tmp_path / "svc",
+            max_running=1,
+            fault_plan=FaultPlan(timeout_rate=1.0, seed=1),
+            heartbeat_timeout=60.0,
+            **FAST,
+        )
+        manager.start()
+        try:
+            first = manager.submit(make_spec(tmp_path))
+            second = manager.submit(make_spec(tmp_path))
+            assert reaches(manager, first.id, RUNNING, 5.0)
+            assert manager.get(second.id).state == QUEUED
+            manager.cancel(first.id)
+            assert reaches(manager, second.id, RUNNING, 5.0)
+            manager.cancel(second.id)
         finally:
             manager.drain()
 
