@@ -84,6 +84,23 @@ class Column:
         return column
 
     @classmethod
+    def from_pool(cls, picks: np.ndarray, pool: Sequence[Hashable]) -> "Column":
+        """Encode ``pool[picks[i]]`` for every row ``i`` without decoding a row.
+
+        ``pool`` holds distinct values and ``picks`` indexes into it.  Codes
+        are renumbered in first-seen order, so the column equals the one
+        :meth:`from_values` builds from the decoded values.
+        """
+        picks = np.asarray(picks)
+        first = np.full(len(pool), picks.size, dtype=np.intp)
+        np.minimum.at(first, picks, np.arange(picks.size))
+        seen = np.flatnonzero(first < picks.size)
+        seen = seen[np.argsort(first[seen])]
+        remap = np.zeros(len(pool), dtype=CODE_DTYPE)
+        remap[seen] = np.arange(seen.size, dtype=CODE_DTYPE)
+        return cls(remap[picks], [pool[pick] for pick in seen], validate=False)
+
+    @classmethod
     def constant(cls, value: Hashable, length: int) -> "Column":
         """A column holding ``value`` in every one of ``length`` rows."""
         return cls(np.zeros(length, dtype=CODE_DTYPE), [value], validate=False)

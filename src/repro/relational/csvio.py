@@ -3,15 +3,23 @@
 Values are parsed according to the schema's logical types when a schema is
 supplied; otherwise everything loads as strings (callers can still group,
 join, and anonymize string data — the engine is type-agnostic).
+
+:func:`read_csv` reads a column at a time: the records stay the lists that
+:mod:`csv` returns, each column is dictionary-encoded straight from its
+field of every record, and only a typed (``INT``/``FLOAT``) column runs its
+parser, once over the column.  No per-row tuple is built.  The codes and
+values are the ones a row-at-a-time parse and encode would give.
 """
 
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from repro.relational.schema import Schema
+from repro.relational.column import Column
+from repro.relational.schema import ColumnType, Schema
 from repro.relational.table import Table
 
 
@@ -39,15 +47,22 @@ def read_csv(
             raise ValueError(
                 f"schema names {list(schema.names)} do not match header {header}"
             )
-        parsers = [spec.type.parse for spec in schema]
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(parsers):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(parsers)} fields, got {len(raw)}"
-                )
-            rows.append(tuple(parse(text) for parse, text in zip(parsers, raw)))
-    return Table.from_rows(schema, rows)
+        records = list(reader)
+    width = len(schema)
+    if set(map(len, records)) - {width}:
+        lineno, raw = next(
+            (lineno, raw)
+            for lineno, raw in enumerate(records, start=2)
+            if len(raw) != width
+        )
+        raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(raw)}")
+    columns = []
+    for position, spec in enumerate(schema):
+        fields = map(itemgetter(position), records)
+        if spec.type is not ColumnType.STRING:
+            fields = map(spec.type.parse, fields)
+        columns.append(Column.from_values(fields))
+    return Table(schema, columns)
 
 
 def write_csv(

@@ -23,6 +23,17 @@ class TestConstruction:
         assert column.to_list() == ["*"] * 4
         assert column.cardinality == 1
 
+    @pytest.mark.parametrize(
+        "picks", [[2, 0, 2, 3, 0], [3, 3, 3], [1, 0, 1, 2, 3, 2], []]
+    )
+    def test_from_pool_matches_from_values(self, picks):
+        pool = ["a", "b", "c", "d"]
+        column = Column.from_pool(np.array(picks, dtype=np.int64), pool)
+        expected = Column.from_values([pool[pick] for pick in picks])
+        assert column.codes.dtype == CODE_DTYPE
+        assert column.codes.tolist() == expected.codes.tolist()
+        assert column.values == expected.values
+
     def test_explicit_codes(self):
         column = Column(np.array([0, 1, 0]), ["x", "y"])
         assert column.to_list() == ["x", "y", "x"]
