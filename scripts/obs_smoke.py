@@ -228,7 +228,12 @@ def main() -> int:
         f"expected server+runner+workers, saw {len(processes)} process(es)"
     )
     names = {e["name"] for e in chrome["traceEvents"] if e["ph"] == "B"}
-    for required in ("service.job.submit", "service.job.run", "worker.chunk"):
+    for required in (
+        "service.job.submit",
+        "service.job.run",
+        "service.job.load",
+        "worker.chunk",
+    ):
         assert required in names, f"span {required!r} missing from stitch"
 
     trace_ids = {

@@ -154,6 +154,7 @@ SPAN_NAMES = frozenset(
         "cube.build",
         "bench.run",
         "service.job.run",
+        "service.job.load",
         "service.job.submit",
         "service.job.launch",
         "worker.chunk",

@@ -331,7 +331,8 @@ def run_job_child(
                     )
                     from repro.service.connectors import load_problem
 
-                    problem = load_problem(spec)
+                    with obs.span("service.job.load", dataset=spec.dataset):
+                        problem = load_problem(spec)
                     algorithm = ALGORITHMS[spec.algorithm]
                     with _execution_region(spec):
                         result = algorithm(

@@ -231,6 +231,10 @@ class TestStructuredRunnerLog:
         run = next(s for s in spans if s["name"] == "service.job.run")
         assert run["trace_id"] == trace_id
         assert run["span_id"] == events[0]["span_id"]
+        # The dataset load is its own layer inside the attempt.
+        load = next(s for s in spans if s["name"] == "service.job.load")
+        assert load["parent_id"] == run["span_id"]
+        assert load["duration_seconds"] <= run["duration_seconds"]
 
 
 class TestStatusRendering:
