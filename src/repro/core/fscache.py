@@ -287,13 +287,6 @@ class FrequencySetCache(NodeStore["FrequencySet"]):
     def insertions(self) -> int:
         return int(self.lifetime.get("cache.insertions", 0))
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    def nodes(self) -> list[LatticeNode]:
-        """Cached nodes, least-recently-used first (the eviction order)."""
-        return [cached.node for cached in self.entries()]
-
     def __repr__(self) -> str:
         return (
             f"FrequencySetCache(entries={len(self)}, "
