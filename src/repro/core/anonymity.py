@@ -210,18 +210,24 @@ def _scan_rows(
 ) -> FrequencySet:
     """Group rows ``[start, stop)`` of the base table at ``node``.
 
-    Generalization happens inside the kernel's key build: each attribute's
-    base codes are read through its level lookup (level 0 needs none), so
-    no generalized column is materialised.
+    Each attribute is read from the problem's generalized column for its
+    level (:meth:`PreparedTable.generalized_codes`) when there is one.
+    Otherwise its base codes are read, through the level lookup inside the
+    kernel's key build above level 0, which gives the same keys.
     """
     code_arrays = []
     radices = []
     lookups = []
     for attribute, level in node.items():
         hierarchy = problem.hierarchy(attribute)
-        code_arrays.append(problem.table.column(attribute).codes[start:stop])
+        column = problem.generalized_codes(attribute, level)
+        if column is None:
+            column = problem.table.column(attribute).codes
+            lookups.append(hierarchy.level_lookup(level) if level else None)
+        else:
+            lookups.append(None)
+        code_arrays.append(column[start:stop])
         radices.append(hierarchy.cardinality(level))
-        lookups.append(hierarchy.level_lookup(level) if level else None)
     key_codes, counts = group_by_codes(code_arrays, radices, lookups=lookups)
     return FrequencySet(node, key_codes, counts, problem)
 

@@ -10,14 +10,32 @@ operations.
 
 from __future__ import annotations
 
+import threading
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.hierarchy.base import CompiledHierarchy, Hierarchy
 from repro.hierarchy.dimension import dimension_table
 from repro.lattice.lattice import GeneralizationLattice
 from repro.lattice.node import LatticeNode
+from repro.relational.column import CODE_DTYPE
 from repro.relational.star import StarSchema
 from repro.relational.table import Table
+
+#: Bytes a problem may hold in generalized code columns
+#: (:meth:`PreparedTable.generalized_codes`).  A column that does not fit
+#: is not stored, and its scans gather through the level lookup instead.
+GENERALIZED_COLUMN_BUDGET = 32 << 20
+
+
+class _ColumnMemo:
+    """Generalized code columns by ``(attribute, level)``, and their bytes."""
+
+    def __init__(self) -> None:
+        self.columns: dict[tuple[str, int], np.ndarray] = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()
 
 
 class PreparedTable:
@@ -65,6 +83,7 @@ class PreparedTable:
                 self._compiled[name] = hierarchy
             else:
                 self._compiled[name] = hierarchy.compile(column.values)
+        self._memo = _ColumnMemo()
 
     # ------------------------------------------------------------------
     # accessors
@@ -105,6 +124,36 @@ class PreparedTable:
                 f"(have {list(self._qi)})"
             ) from None
 
+    def generalized_codes(self, attribute: str, level: int) -> np.ndarray | None:
+        """``attribute``'s whole code column at ``level``, or None.
+
+        Built on first use with :meth:`CompiledHierarchy.generalize_codes`,
+        as uint8 or uint16 where the level's codes fit (else the code dtype),
+        and kept as long as the problem (views from :meth:`with_quasi_identifier`
+        share it).  None at level 0 (scans read the base codes), at a level
+        of one value (the kernel skips it), and for a column that would
+        take the stored ones past :data:`GENERALIZED_COLUMN_BUDGET`.
+        """
+        memo = self._memo
+        column = memo.columns.get((attribute, level))
+        hierarchy = self.hierarchy(attribute)
+        cardinality = hierarchy.cardinality(level)
+        if column is not None or not level or cardinality == 1:
+            return column
+        narrow = np.uint8 if cardinality <= 1 << 8 else np.uint16
+        dtype = np.dtype(narrow if cardinality <= 1 << 16 else CODE_DTYPE)
+        nbytes = self.num_rows * dtype.itemsize
+        # Pool threads scan one problem at once: one lock makes the check,
+        # build and store atomic, so no column is built twice or miscounted.
+        with memo.lock:
+            column = memo.columns.get((attribute, level))
+            if column is None and memo.nbytes + nbytes <= GENERALIZED_COLUMN_BUDGET:
+                codes = self._table.column(attribute).codes
+                column = hierarchy.generalize_codes(codes, level).astype(dtype)
+                memo.columns[attribute, level] = column
+                memo.nbytes += nbytes
+        return column
+
     def height(self, attribute: str) -> int:
         return self.hierarchy(attribute).height
 
@@ -138,6 +187,7 @@ class PreparedTable:
         if missing:
             raise ValueError(f"no hierarchy compiled for {missing}")
         clone._compiled = self._compiled
+        clone._memo = self._memo
         return clone
 
     def star_schema(self) -> StarSchema:

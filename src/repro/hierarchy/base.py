@@ -141,7 +141,11 @@ class CompiledHierarchy:
         return self._level_values[level]
 
     def generalize_codes(self, base_codes: np.ndarray, level: int) -> np.ndarray:
-        """Vectorised generalization of a base-code array to ``level``."""
+        """Base codes generalized to ``level``.
+
+        Builds the scans' stored columns (``PreparedTable.generalized_codes``)
+        and the suppression keys of ``core.generalize.apply_generalization``.
+        """
         return self._lookups[level][base_codes]
 
     def mapping_between(self, from_level: int, to_level: int) -> np.ndarray:

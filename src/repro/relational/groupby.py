@@ -7,8 +7,8 @@ The paper (Section 1.1) computes frequency sets with::
 and rolls them up with ``SUM(count) ... GROUP BY``.  Both run here over
 dictionary codes through one kernel, :func:`group_by_codes`.  It builds one
 mixed-radix integer key per row in a single pass, reading each column
-through an optional code lookup on the way (generalization in a scan, the
-mapping between two levels in a rollup), then counts the keys: with
+through an optional code lookup on the way (the mapping between two levels
+in a rollup; a scan passes generalized columns), then counts the keys: with
 ``np.bincount`` over the whole key space when that space is no larger than
 the number of rows, and by sorting (``np.unique``) otherwise.  Both give
 ascending keys, so the result does not depend on which one ran.  Key
@@ -125,8 +125,8 @@ def group_by_codes(
 
     Row i's key in column j is ``lookups[j][code_arrays[j][i]]``, or
     ``code_arrays[j][i]`` itself when there is no lookup for column j, and
-    lies in ``[0, radices[j])``.  A scan passes each attribute's level
-    lookup (generalization), a rollup the mapping between two levels.
+    lies in ``[0, radices[j])``.  A rollup passes the mapping between two
+    levels; a scan passes only a level lookup over the column budget.
 
     Returns ``(key_codes, counts)``: the ``(num_groups, num_keys)`` matrix
     of distinct keys in ascending order, and each group's row count — or,
