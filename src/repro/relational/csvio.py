@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from repro.relational.column import Column
 from repro.relational.schema import ColumnType, Schema
@@ -34,20 +34,26 @@ def read_csv(
     When ``schema`` is given, its column order must match the header and its
     logical types drive parsing; otherwise the header defines a STRING schema.
     """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty (no header row)") from None
-        if schema is None:
-            schema = Schema.of(*header)
-        elif list(schema.names) != header:
-            raise ValueError(
-                f"schema names {list(schema.names)} do not match header {header}"
-            )
-        records = list(reader)
+    with Path(path).open(newline="") as handle:
+        return parse_csv(handle, path, schema, delimiter)
+
+
+def parse_csv(
+    handle: TextIO, path: str | Path, schema: Schema | None = None, delimiter: str = ","
+) -> Table:
+    """:func:`read_csv` on an open text ``handle``; ``path`` names it in errors."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path} is empty (no header row)") from None
+    if schema is None:
+        schema = Schema.of(*header)
+    elif list(schema.names) != header:
+        raise ValueError(
+            f"schema names {list(schema.names)} do not match header {header}"
+        )
+    records = list(reader)
     width = len(schema)
     if set(map(len, records)) - {width}:
         lineno, raw = next(

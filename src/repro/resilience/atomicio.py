@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Atomically replace ``path``'s contents with ``text``.
+def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+    """Atomically replace ``path``'s contents with ``data``.
 
     Creates parent directories as needed.  On any failure the temporary
     file is removed and the destination is left exactly as it was.
@@ -29,8 +29,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     try:
         # ra: RA004 -- this IS the atomic-write primitive: the plain write
         # targets a private temp file, fsynced then os.replace()d into place.
-        with open(tmp, "w") as handle:
-            handle.write(text)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -38,6 +38,11 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Atomically replace ``path``'s contents with ``text``, UTF-8 encoded."""
+    return atomic_write_bytes(path, text.encode())
 
 
 def atomic_write_json(path: str | Path, document: Any, *, indent: int | None = None) -> Path:

@@ -26,18 +26,31 @@ disk, and real stores.  A reference is ``kind:target`` with optional
 
 Connectors are deliberately read-only: a job loads its input, anonymizes,
 and writes results into its own job directory — the service never mutates
-a source store.
+a source store.  A job runner reads ``csv:`` files through a
+:class:`DatasetStore` in the server's data directory, which keeps one
+encoded copy per distinct file content.
 """
 
 from __future__ import annotations
 
+import codecs
+import hashlib
+import io
+import json
 import sqlite3
+import zipfile
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qsl, unquote
 
+import numpy as np
+
+from repro.relational.column import CODE_DTYPE, Column
+from repro.relational.csvio import parse_csv, read_csv, write_csv
 from repro.relational.schema import Schema
 from repro.relational.table import Table
+from repro.resilience.atomicio import atomic_write_bytes
 
 if TYPE_CHECKING:
     from repro.core.problem import PreparedTable
@@ -150,16 +163,65 @@ def _load_sqlite(target: str) -> Table:
     return Table.from_rows(Schema.of(*names), rows)
 
 
-def load_table(ref: str) -> Table:
-    """Resolve a non-builtin reference to its raw :class:`Table`."""
+#: What loading a missing, damaged or foreign store entry raises (a flipped
+#: bit in a zip header can raise NotImplementedError or RuntimeError).
+_BAD_ENTRY = (OSError, EOFError, KeyError, TypeError, ValueError,
+              NotImplementedError, RuntimeError, zipfile.BadZipFile)
+codecs.lookup("cp437")  # zipfile's name codec, found once per fork server
+
+
+class DatasetStore:
+    """Encoded ``csv:`` tables under ``root``, one entry per file content.
+
+    An entry, ``<sha256 of the file's bytes>.npz``, holds the int32 codes
+    as one ``codes`` array and, as ``meta``, a JSON object's UTF-8 bytes:
+    the header names and each column's values in code order (numpy string
+    arrays drop trailing NULs).  A hit builds the table with ``Column``
+    validation on; a miss parses the hashed bytes as :func:`read_csv`
+    would and publishes the entry atomically.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.root = Path(root)
+        #: ``"hit"`` or ``"miss"``: the path the last :meth:`read_csv` took.
+        self.outcome: str | None = None
+
+    def read_csv(self, path: Path) -> Table:
+        """``read_csv(path)``, from the entry of ``path``'s bytes if one loads."""
+        data = path.read_bytes()
+        entry = self.root / f"{hashlib.sha256(data).hexdigest()}.npz"
+        try:
+            with np.load(entry, allow_pickle=False) as archive:
+                meta, codes = json.loads(archive["meta"].tobytes()), archive["codes"]
+            if codes.dtype != CODE_DTYPE:
+                raise ValueError(f"{entry} holds {codes.dtype} codes")
+            pairs = zip(codes, meta["values"], strict=True)
+            self.outcome = "hit"
+            return Table(Schema.of(*meta["names"]), [Column(*p) for p in pairs])
+        except _BAD_ENTRY:
+            self.outcome = "miss"
+        table = parse_csv(io.TextIOWrapper(io.BytesIO(data), newline=""), path)
+        columns = table.columns()
+        meta = {"names": table.schema.names, "values": [c.values for c in columns]}
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            codes=np.array([column.codes for column in columns], CODE_DTYPE),
+            meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+        )
+        with suppress(OSError):  # an unwritable store costs later loads a parse
+            atomic_write_bytes(entry, buffer.getvalue())
+        return table
+
+
+def load_table(ref: str, store: DatasetStore | None = None) -> Table:
+    """Resolve a non-builtin reference to its raw Table (``csv:`` via ``store``)."""
     kind, target, _ = parse_ref(ref)
     if kind == "csv":
-        from repro.relational.csvio import read_csv
-
         path = Path(target)
         if not path.exists():
             raise ConnectorError(f"csv file {path} does not exist")
-        return read_csv(path)
+        return read_csv(path) if store is None else store.read_csv(path)
     if kind == "sqlite":
         return _load_sqlite(target)
     if kind == "memory":
@@ -173,7 +235,7 @@ def load_table(ref: str) -> Table:
     raise ConnectorError(f"load_table cannot resolve builtin reference {ref!r}")
 
 
-def load_problem(spec: "JobSpec") -> "PreparedTable":
+def load_problem(spec: "JobSpec", store: DatasetStore | None = None) -> "PreparedTable":
     """Resolve a job spec's dataset + QI spec into a prepared problem.
 
     Builtin datasets carry their own hierarchies; every other connector
@@ -190,7 +252,7 @@ def load_problem(spec: "JobSpec") -> "PreparedTable":
         raise ConnectorError(
             f"{kind}: datasets need a 'hierarchies' spec in the job payload"
         )
-    table = load_table(spec.dataset)
+    table = load_table(spec.dataset, store)
     hierarchies = hierarchies_from_spec(spec.hierarchies)
     qi = list(spec.qi) if spec.qi else list(hierarchies)
     missing = [name for name in qi if name not in table.schema.names]
@@ -212,8 +274,6 @@ def spill_memory_dataset(spec: "JobSpec", job_dir: Path) -> "JobSpec":
     Non-memory references pass through untouched.
     """
     from dataclasses import replace
-
-    from repro.relational.csvio import write_csv
 
     kind, target, _ = parse_ref(spec.dataset)
     if kind != "memory":

@@ -43,6 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import shutil
 import threading
 import time
 from collections import deque
@@ -212,11 +213,12 @@ class JobManager:
 
         Also sweeps shared-memory segments orphaned by a previous crash
         (satellite of the same robustness story: a SIGKILLed runner or
-        server must not leak ``/dev/shm`` forever) and compacts a long
-        WAL so replay stays bounded by live-job count.
+        server must not leak ``/dev/shm`` forever), empties the dataset
+        store and compacts a long WAL so replay stays bounded by live jobs.
         """
         from repro.shard.manifest import sweep_orphans
 
+        shutil.rmtree(self.data_dir / runner.DATASET_DIR, ignore_errors=True)
         replay = self.store.load()
         with self._lock:
             self._seq = replay.max_seq

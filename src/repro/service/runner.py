@@ -30,9 +30,11 @@ the child applies them **after its first checkpoint save**, so an
 injected crash always exercises true mid-flight resume (and an injected
 hang stops the heartbeat first, so the watchdog path actually fires).
 
-:func:`run_job_inline` is the differential oracle: the same spec
-executed directly in-process, no subprocess, no checkpoint — the chaos
-suite asserts byte-identical payloads between the two.
+The child reads a ``csv:`` dataset through the data directory's
+:class:`~repro.service.connectors.DatasetStore`.  :func:`run_job_inline`
+is the differential oracle: the same spec executed directly in-process,
+no subprocess, no checkpoint, no dataset store — the chaos suite asserts
+byte-identical payloads between the two.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ HEARTBEAT_FILE = "heartbeat"
 CHECKPOINT_FILE = "checkpoint.ckpt.json"
 TRACE_FILE = "trace.jsonl"
 LOG_FILE = "runner.log"
+
+#: The dataset store's directory, beside ``jobs/`` in the data directory.
+DATASET_DIR = "datasets"
 
 
 class DrainRequested(BaseException):
@@ -329,10 +334,12 @@ def run_job_child(
                         resume=bool(resume),
                         directive=directive,
                     )
-                    from repro.service.connectors import load_problem
+                    from repro.service.connectors import DatasetStore, load_problem
 
-                    with obs.span("service.job.load", dataset=spec.dataset):
-                        problem = load_problem(spec)
+                    datasets = DatasetStore(directory.parents[1] / DATASET_DIR)
+                    with obs.span("service.job.load", dataset=spec.dataset) as load:
+                        problem = load_problem(spec, datasets)
+                        load.set(store=datasets.outcome)
                     algorithm = ALGORITHMS[spec.algorithm]
                     with _execution_region(spec):
                         result = algorithm(

@@ -196,17 +196,32 @@ def test_shard_workers_exit_when_their_parent_is_killed(tmp_path, start_method):
     keeper = None
     try:
         ready, _, _ = select.select([parent.stdout], [], [], 60.0)
-        assert ready, "the parent never reported its workers"
-        mode, faults, workers, keeper = json.loads(parent.stdout.readline())
-        assert (mode, faults) == ("shards", {})
-        assert len(workers) == 2
-        assert all(map(running, workers))
+        assert ready, (
+            f"the parent never reported its workers within 60 s "
+            f"(exit status {parent.poll()})"
+        )
+        line = parent.stdout.readline()
+        assert line, f"the parent exited ({parent.poll()}) before reporting"
+        mode, faults, workers, keeper = json.loads(line)
+        assert (mode, faults) == ("shards", {}), (
+            f"the batch ran in mode {mode!r} with fault counters {faults}"
+        )
+        assert len(workers) == 2, f"the parent reported workers {workers}"
+        assert all(map(running, workers)), (
+            f"workers {[pid for pid in workers if not running(pid)]} of "
+            f"{workers} had exited before the parent was killed"
+        )
         parent.kill()
         parent.wait(timeout=10.0)
+        died = time.monotonic()
         deadline = time.monotonic() + 10.0
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.1)
-        assert [pid for pid in workers if running(pid)] == []
+        alive = [pid for pid in workers if running(pid)]
+        assert alive == [], (
+            f"workers {alive} of {workers} still ran "
+            f"{time.monotonic() - died:.1f} s after the parent died"
+        )
     finally:
         parent.kill()
         parent.wait(timeout=10.0)

@@ -279,6 +279,7 @@ class TestWakeUps:
 PRELOAD_PROBE = """
 import json
 import sys
+from pathlib import Path
 
 from repro.service.manager import RUNNER_PRELOAD
 
@@ -290,23 +291,32 @@ from repro.service.jobs import JobSpec
 spec = JobSpec.from_json(json.loads(sys.argv[1]))
 before = set(sys.modules)
 runner.run_job_inline(spec)
-print(json.dumps(sorted(
+from repro.service.connectors import DatasetStore, load_problem
+
+store = DatasetStore(Path(sys.argv[2]))
+outcomes = []
+for _ in range(2):
+    load_problem(spec, store)
+    outcomes.append(store.outcome)
+print(json.dumps([outcomes, sorted(
     name for name in set(sys.modules) - before if name.split(".")[0] == "repro"
-)))
+)]))
 """
 
 
 def test_preload_covers_every_module_a_job_imports(tmp_path):
-    """A runner forked from the fork server imports nothing at job time."""
+    """A runner forked from the fork server imports nothing at job time,
+    whether its dataset store misses or hits."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     payload = job_payload(write_dataset_csv(tmp_path))
+    store = tmp_path / runner.DATASET_DIR
     done = subprocess.run(
-        [sys.executable, "-c", PRELOAD_PROBE, json.dumps(payload)],
+        [sys.executable, "-c", PRELOAD_PROBE, json.dumps(payload), str(store)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    assert json.loads(done.stdout) == [["miss", "hit"], []]
 
 
 class TestAdmissionControl:

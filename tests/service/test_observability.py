@@ -186,8 +186,9 @@ class TestStructuredRunnerLog:
 
         from repro import obs
 
-        job_dir = tmp_path / "job"
-        job_dir.mkdir()
+        # As under a manager, so the dataset store lands in tmp_path.
+        job_dir = tmp_path / "jobs" / "job"
+        job_dir.mkdir(parents=True)
         saved_streams = sys.stdout, sys.stderr
         saved_handler = signal.getsignal(signal.SIGTERM)
         try:
@@ -235,6 +236,8 @@ class TestStructuredRunnerLog:
         load = next(s for s in spans if s["name"] == "service.job.load")
         assert load["parent_id"] == run["span_id"]
         assert load["duration_seconds"] <= run["duration_seconds"]
+        assert load["attrs"]["store"] == "miss"
+        assert (tmp_path / runner.DATASET_DIR).is_dir()
 
 
 class TestStatusRendering:
