@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.core.fscache import FrequencySetCache
 from repro.core.problem import PreparedTable
+from repro.datasets.landsend import landsend_problem
 from repro.parallel import ExecutionConfig
 from tests.conftest import make_random_problem
 from tests.reference import ReferenceFrequencies
@@ -52,6 +53,18 @@ STRUCTURAL_COUNTERS = (
     "frequency.rollups",
     "frequency.rollup_source_rows",
 )
+
+#: Cache accounting happens in the parent, so it too is mode-independent.
+CACHE_COUNTERS = (
+    "cache.hits",
+    "cache.misses",
+    "cache.rollup_saves",
+    "cache.evictions",
+)
+
+#: A cache budget that holds only a few of a 40-row problem's sets (each
+#: entry costs its arrays plus 256 bytes), so a search evicts.
+SMALL_CACHE_BYTES = 4096
 
 
 def assert_dist_metrics_identical(a, b, context=""):
@@ -177,3 +190,63 @@ def test_cache_does_not_change_thread_pool_results():
         assert warm.anonymous_nodes == cold.anonymous_nodes
         assert warm.stats.table_scans == 0
         assert warm.stats.cache_hits > 0
+
+
+@pytest.mark.parametrize(
+    "cache_bytes", [None, SMALL_CACHE_BYTES], ids=["cache-off", "cache-small"]
+)
+def test_superroots_identical_across_modes(cache_bytes):
+    """Super-roots answers and counts the same serially, on threads and on
+    shards, with no cache and with one small enough to evict.
+
+    Every problem has a family with several roots: Super-roots scans the
+    table fewer times than Basic, which only a shared family scan can do.
+    """
+    modes = {
+        "serial": ExecutionConfig(),
+        "threads": ExecutionConfig(mode="threads", workers=2),
+        "shards": ExecutionConfig(mode="shards", workers=2),
+    }
+    counters = STRUCTURAL_COUNTERS + ("frequency.rows",)
+    if cache_bytes is not None:
+        counters += CACHE_COUNTERS
+    for seed in (3, 11, 42):
+        problem = make_random_problem(seed, num_rows=40, num_attributes=4)
+        for k in (2, 3):
+            basic = basic_incognito(problem, k)
+            runs = {
+                mode: superroots_incognito(
+                    problem,
+                    k,
+                    execution=config,
+                    cache=None
+                    if cache_bytes is None
+                    else FrequencySetCache(cache_bytes),
+                )
+                for mode, config in modes.items()
+            }
+            serial = runs["serial"]
+            assert serial.anonymous_nodes == basic.anonymous_nodes
+            assert serial.stats.table_scans < basic.stats.table_scans
+            if cache_bytes is not None:
+                assert serial.stats.cache_evictions > 0
+            for mode, result in runs.items():
+                context = f"{mode} seed={seed} k={k}"
+                assert result.anonymous_nodes == serial.anonymous_nodes, context
+                for key in counters:
+                    assert result.stats.counters.get(
+                        key
+                    ) == serial.stats.counters.get(key), f"{context}: {key}"
+                assert_dist_metrics_identical(result, serial, context)
+
+
+def test_superroots_landsend_counts_pinned():
+    """Super-roots on 20,000 Lands End rows at QID 6 does exactly this
+    much work: how the roots are fed may change, the work may not."""
+    result = superroots_incognito(landsend_problem(20_000, qi_size=6), 2)
+    assert result.stats.table_scans == 63
+    assert result.stats.rollups == 148
+    assert result.stats.nodes_checked == 182
+    assert result.stats.rollup_source_rows == 1_791_985
+    assert result.stats.frequency_set_rows == 493_176
+    assert len(result.anonymous_nodes) == 82
