@@ -3,14 +3,15 @@
 
 Streams a Lands End table of ``--rows`` rows straight into shared memory
 (:func:`repro.datasets.landsend.landsend_problem_shm` — the full table is
-never held as ordinary process memory), runs Basic Incognito over it both
-serially and under the ``shards`` execution mode, and asserts:
+never held as ordinary process memory), runs Basic and Super-roots
+Incognito over it, each both serially and under the ``shards`` execution
+mode, and asserts:
 
-* the two searches agree exactly — same anonymous nodes, same structural
-  counters (scans, frequency-set rows, nodes checked);
+* each search's two runs agree exactly — same anonymous nodes, same
+  structural counters (scans, frequency-set rows, nodes checked);
 * this process's peak RSS stayed inside ``--rss-budget-mb``, i.e. the
-  zero-copy path really is zero-copy and the streaming generator really
-  is streaming.
+  zero-copy path really is zero-copy, the streaming generator really
+  is streaming, and Super-roots holds one family's meet at a time.
 
 CI runs it at ``REPRO_SMOKE_ROWS`` (default 600,000) so the job finishes
 in minutes; ``--rows full`` reproduces the paper's 4,591,581-row scale
@@ -34,6 +35,7 @@ import time
 
 from repro.bench.workloads import release_problem
 from repro.core.incognito import basic_incognito
+from repro.core.superroots import superroots_incognito
 from repro.datasets.landsend import FULL_ROWS, landsend_problem_shm
 from repro.parallel import ExecutionConfig, use_execution
 
@@ -48,6 +50,9 @@ STRUCTURAL_FIELDS = (
     "rollup_source_rows",
     "peak_frequency_set_rows",
 )
+
+#: The searches the smoke runs, each serially and under ``shards``.
+ALGORITHMS = (basic_incognito, superroots_incognito)
 
 
 def peak_rss_mb() -> float:
@@ -64,6 +69,7 @@ def smoke(
     problems: list[str] = []
     built_at = time.perf_counter()
     problem = landsend_problem_shm(rows, qi_size=qi_size)
+    runs = []
     try:
         print(
             f"built {rows:,} rows x {qi_size} QI attributes into shared "
@@ -71,48 +77,53 @@ def smoke(
             f"(peak RSS so far {peak_rss_mb():.0f} MiB)",
             file=sys.stderr,
         )
-        serial = basic_incognito(problem, k)
-        print(
-            f"serial:  {serial.stats.elapsed_seconds:.2f}s, "
-            f"{len(serial.anonymous_nodes)} solutions",
-            file=sys.stderr,
-        )
         config = ExecutionConfig(
             mode="shards", workers=workers, shard_rows=shard_rows
         )
-        with use_execution(config):
-            sharded = basic_incognito(problem, k)
         width = (
             "one range per scan"
             if shard_rows is None
             else f"{shard_rows:,}-row ranges"
         )
-        counters = sharded.stats.counters
-        print(
-            f"shards:  {sharded.stats.elapsed_seconds:.2f}s "
-            f"({workers} workers, {width}: "
-            f"{counters.get('shard.range_scans'):,} range scans, "
-            f"{counters.get('shard.merges'):,} merges)",
-            file=sys.stderr,
-        )
+        for algorithm in ALGORITHMS:
+            name = algorithm.__name__
+            serial = algorithm(problem, k)
+            print(
+                f"{name} serial:  {serial.stats.elapsed_seconds:.2f}s, "
+                f"{len(serial.anonymous_nodes)} solutions "
+                f"(peak RSS so far {peak_rss_mb():.0f} MiB)",
+                file=sys.stderr,
+            )
+            with use_execution(config):
+                sharded = algorithm(problem, k)
+            counters = sharded.stats.counters
+            print(
+                f"{name} shards:  {sharded.stats.elapsed_seconds:.2f}s "
+                f"({workers} workers, {width}: "
+                f"{counters.get('shard.range_scans'):,} range scans, "
+                f"{counters.get('shard.merges'):,} merges)",
+                file=sys.stderr,
+            )
+            runs.append((name, serial, sharded))
     finally:
         release_problem(problem)
 
-    serial_nodes = [str(node) for node in serial.anonymous_nodes]
-    sharded_nodes = [str(node) for node in sharded.anonymous_nodes]
-    if serial_nodes != sharded_nodes:
-        problems.append(
-            f"anonymous nodes diverge: serial {serial_nodes} vs "
-            f"shards {sharded_nodes}"
-        )
-    for field in STRUCTURAL_FIELDS:
-        serial_value = getattr(serial.stats, field)
-        sharded_value = getattr(sharded.stats, field)
-        if serial_value != sharded_value:
+    for name, serial, sharded in runs:
+        serial_nodes = [str(node) for node in serial.anonymous_nodes]
+        sharded_nodes = [str(node) for node in sharded.anonymous_nodes]
+        if serial_nodes != sharded_nodes:
             problems.append(
-                f"{field} diverges: serial {serial_value} vs "
-                f"shards {sharded_value}"
+                f"{name}: anonymous nodes diverge: serial {serial_nodes} "
+                f"vs shards {sharded_nodes}"
             )
+        for field in STRUCTURAL_FIELDS:
+            serial_value = getattr(serial.stats, field)
+            sharded_value = getattr(sharded.stats, field)
+            if serial_value != sharded_value:
+                problems.append(
+                    f"{name}: {field} diverges: serial {serial_value} vs "
+                    f"shards {sharded_value}"
+                )
     return problems
 
 
