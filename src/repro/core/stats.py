@@ -50,17 +50,6 @@ _COUNTER_KEYS = {
     "incremental_base_rows_reused": "incremental.base_rows_reused",
     "incremental_captures": "incremental.captures",
     "incremental_evictions": "incremental.evictions",
-    "fault_crashes": "fault.crashes",
-    "fault_timeouts": "fault.timeouts",
-    "fault_poisoned": "fault.poisoned",
-    "fault_pool_rebuilds": "fault.pool_rebuilds",
-    "fault_demotions": "fault.demotions",
-    "fault_memory_pressure": "fault.memory_pressure",
-    "fault_errors": "fault.errors",
-    "retry_attempts": "retry.attempts",
-    "retry_chunks": "retry.chunks",
-    "retry_serial_fallbacks": "retry.serial_fallbacks",
-    "retry_backoff_seconds": "retry.backoff_seconds",
 }
 
 #: Attributes exposed as floats; everything else is coerced to int.
@@ -70,7 +59,6 @@ _FLOAT_FIELDS = frozenset(
         "elapsed_seconds",
         "parallel_merge_seconds",
         "shard_merge_seconds",
-        "retry_backoff_seconds",
     }
 )
 
@@ -222,37 +210,6 @@ class SearchStats:
     )
     incremental_evictions = _counter_view(
         "incremental_evictions", _COUNTER_KEYS["incremental_evictions"]
-    )
-    # Failure supervision (see repro.resilience): observed faults and the
-    # retry/degradation work they caused.  Real or injected, these never
-    # perturb the frequency.* counters above — failed attempts contribute
-    # no deltas; only the one successful execution per chunk is merged.
-    fault_crashes = _counter_view("fault_crashes", _COUNTER_KEYS["fault_crashes"])
-    fault_timeouts = _counter_view(
-        "fault_timeouts", _COUNTER_KEYS["fault_timeouts"]
-    )
-    fault_poisoned = _counter_view(
-        "fault_poisoned", _COUNTER_KEYS["fault_poisoned"]
-    )
-    fault_pool_rebuilds = _counter_view(
-        "fault_pool_rebuilds", _COUNTER_KEYS["fault_pool_rebuilds"]
-    )
-    fault_demotions = _counter_view(
-        "fault_demotions", _COUNTER_KEYS["fault_demotions"]
-    )
-    fault_memory_pressure = _counter_view(
-        "fault_memory_pressure", _COUNTER_KEYS["fault_memory_pressure"]
-    )
-    fault_errors = _counter_view("fault_errors", _COUNTER_KEYS["fault_errors"])
-    retry_attempts = _counter_view(
-        "retry_attempts", _COUNTER_KEYS["retry_attempts"]
-    )
-    retry_chunks = _counter_view("retry_chunks", _COUNTER_KEYS["retry_chunks"])
-    retry_serial_fallbacks = _counter_view(
-        "retry_serial_fallbacks", _COUNTER_KEYS["retry_serial_fallbacks"]
-    )
-    retry_backoff_seconds = _counter_view(
-        "retry_backoff_seconds", _COUNTER_KEYS["retry_backoff_seconds"]
     )
 
     @property

@@ -89,7 +89,6 @@ __all__ = [
     "flush",
     "folded_stacks",
     "get_tracer",
-    "incr",
     "new_span_id",
     "new_trace_id",
     "observe",
@@ -145,11 +144,6 @@ def span(name: str, **attrs: Any):
 def span_from(context: TraceContext | None, name: str, **attrs: Any):
     """Open a span under a propagated remote context (cross-process)."""
     return _active.span_from(context, name, **attrs)
-
-
-def incr(name: str, value: float = 1) -> None:
-    """Count on the active tracer (current span + run totals)."""
-    _active.incr(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -89,7 +89,7 @@ def chrome_trace(records: Iterable[Mapping], *, pid: int | None = 1) -> dict:
     it with :func:`json.dumps` or :func:`chrome_trace_json`.  Each span
     becomes a ``B``/``E`` duration-event pair on its thread's lane, with
     microsecond timestamps rebased to the earliest span start.  Span
-    attributes and span-local counters ride along as ``args``.
+    attributes ride along as ``args``.
 
     ``pid`` stamps every event with one process id (single-process
     traces).  ``pid=None`` uses each record's own ``pid`` field instead
@@ -105,9 +105,6 @@ def chrome_trace(records: Iterable[Mapping], *, pid: int | None = 1) -> dict:
 
     def walk(record: Mapping) -> None:
         args: dict = dict(record.get("attrs") or {})
-        counters = record.get("counters") or {}
-        if counters:
-            args["counters"] = dict(counters)
         tid = int(record.get("thread") or 0)
         event_pid = pid if pid is not None else int(record.get("pid") or 1)
         events.append(

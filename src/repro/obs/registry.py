@@ -27,15 +27,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Counters recorded outside the ``SearchStats`` attribute views: the
-#: parallel high-water mark, the frequency-set size high-water mark, and
-#: the cache's lifetime totals (kept on the cache object itself, not in a
-#: run's stats — see :class:`repro.core.fscache.FrequencySetCache`).
+#: parallel high-water mark, the frequency-set size high-water mark, the
+#: cache's lifetime totals (kept on the cache object itself, not in a
+#: run's stats — see :class:`repro.core.fscache.FrequencySetCache`), and
+#: the supervised evaluator's fault and retry counts (read by name).
 EXTRA_COUNTERS = frozenset(
     {
         "parallel.workers",
         "frequency.peak_rows",
         "cache.ancestor_hits",
         "cache.insertions",
+        "fault.crashes",
+        "fault.timeouts",
+        "fault.poisoned",
+        "fault.pool_rebuilds",
+        "fault.demotions",
+        "fault.memory_pressure",
+        "fault.errors",
+        "retry.attempts",
+        "retry.chunks",
+        "retry.serial_fallbacks",
+        "retry.backoff_seconds",
     }
 )
 
@@ -70,12 +82,10 @@ SERVICE_COUNTERS = frozenset(
 
 #: Open-ended counter families: any name extending one of these prefixes
 #: is declared.  Each carries a generator whose suffix is data-dependent
-#: (a subset size, an injected-fault kind, a span name).
+#: (a subset size, an injected-fault kind).
 COUNTER_PREFIXES = (
     "nodes.checked_by_size.",
     "fault.injected.",
-    "span.",
-    "span_seconds.",
     # service admission rejections and injected job-level faults, by kind
     "service.rejected.",
     "service.injected.",

@@ -3,9 +3,8 @@
 Three implementations cover the use cases the engine needs:
 
 * :class:`NullSink` — discard everything (the default; tracing off).
-* :class:`InMemorySink` — keep spans in a list, with small query helpers;
-  used by tests and by in-process consumers (the bench harness reads span
-  counts back out of one of these).
+* :class:`InMemorySink` — keep spans in a list, with small query helpers
+  (``count``, ``named``, ``roots``) for tests and in-process callers.
 * :class:`JsonLinesSink` — serialise each span as one JSON object per line
   to any writable text stream; ``--trace`` wires this to a file or stderr.
   Lines carry ``span_id`` / ``parent_id`` / ``depth`` so the nesting is

@@ -1,9 +1,16 @@
 """Tests for trace spans, nesting, and the module-level tracer plumbing."""
 
+import gc
+import io
 import threading
+import weakref
 
 from repro import obs
-from repro.obs import NULL_SPAN, InMemorySink, Tracer
+from repro.obs import NULL_SPAN, InMemorySink, JsonLinesSink, Tracer
+
+
+class _Marker:
+    """An attribute value that can be weakly referenced."""
 
 
 class TestSpanNesting:
@@ -17,7 +24,6 @@ class TestSpanNesting:
         assert outer.parent_id is None
         assert inner.depth == 1
         assert outer.depth == 0
-        assert outer.children == [inner]
 
     def test_children_emitted_before_parents(self):
         sink = InMemorySink()
@@ -36,9 +42,21 @@ class TestSpanNesting:
                 pass
             with tracer.span("b"):
                 pass
-        names = [child.name for child in outer.children]
-        assert names == ["a", "b"]
-        assert all(c.parent_id == outer.span_id for c in outer.children)
+        children = sink.spans[:2]
+        assert [child.name for child in children] == ["a", "b"]
+        assert all(c.parent_id == outer.span_id for c in children)
+        assert all(c.depth == 1 for c in children)
+
+    def test_closed_span_is_not_retained(self):
+        """A closed child is the sink's alone, not kept by its open parent."""
+        tracer = Tracer(JsonLinesSink(io.StringIO()))
+        marker = _Marker()
+        ref = weakref.ref(marker)
+        with tracer.span("bench.run"):
+            with tracer.span("scan", node=marker):
+                del marker
+            gc.collect()
+            assert ref() is None
 
     def test_current_tracks_innermost(self):
         tracer = Tracer(InMemorySink())
@@ -133,43 +151,17 @@ class TestSpanRecording:
             sp.set(groups=12, dense=True)
         assert sp.attrs == {"node": "<B1, Z0>", "groups": 12, "dense": True}
 
-    def test_counters_aggregate_into_parent(self):
-        tracer = Tracer(InMemorySink())
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                inner.incr("rows", 10)
-            with tracer.span("inner2") as inner2:
-                inner2.incr("rows", 5)
-        assert outer.counters.get("rows") == 15
-
-    def test_tracer_incr_hits_current_span_and_totals(self):
-        tracer = Tracer(InMemorySink())
-        with tracer.span("outer") as outer:
-            tracer.incr("widgets", 3)
-        tracer.incr("widgets", 2)  # outside any span: totals only
-        assert outer.counters.get("widgets") == 3
-        assert tracer.totals.get("widgets") == 5
-
-    def test_totals_count_span_closures(self):
-        tracer = Tracer(InMemorySink())
-        with tracer.span("scan"):
-            pass
-        with tracer.span("scan"):
-            pass
-        assert tracer.totals.get("span.scan") == 2
-        assert tracer.totals.get("span_seconds.scan") >= 0
-
     def test_to_dict_shape(self):
         tracer = Tracer(InMemorySink())
         with tracer.span("scan", node="root") as sp:
-            sp.incr("rows", 7)
+            pass
         record = sp.to_dict()
         assert record["name"] == "scan"
         assert record["span_id"] == sp.span_id
         assert record["parent_id"] is None
         assert record["depth"] == 0
         assert record["attrs"] == {"node": "root"}
-        assert record["counters"] == {"rows": 7}
+        assert "counters" not in record
         assert record["duration_seconds"] >= 0
 
 
@@ -181,13 +173,7 @@ class TestDisabledTracer:
         assert not sp  # truthiness gate for attr construction
         with sp:
             sp.set(ignored=1)
-            sp.incr("ignored")
-        assert tracer.totals.as_dict() == {}
-
-    def test_disabled_incr_is_noop(self):
-        tracer = Tracer(enabled=False)
-        tracer.incr("widgets", 100)
-        assert tracer.totals.as_dict() == {}
+        assert tracer.current is None  # nothing was pushed
 
     def test_enabled_span_is_truthy(self):
         tracer = Tracer(InMemorySink())
@@ -208,10 +194,9 @@ class TestModuleTracer:
             assert obs.get_tracer() is tracer
             assert obs.enabled()
             with obs.span("work"):
-                obs.incr("units", 2)
+                pass
         assert obs.get_tracer() is previous
         assert sink.count("work") == 1
-        assert tracer.totals.get("units") == 2
 
     def test_use_tracer_restores_on_exception(self):
         previous = obs.get_tracer()
