@@ -74,13 +74,8 @@ from repro.resilience.checkpoint import (
 class RootProvider:
     """Strategy object supplying frequency sets for candidate-graph roots."""
 
-    def prepare(
-        self,
-        evaluator: FrequencyEvaluator,
-        graph: CandidateGraph,
-        pool: BatchMaterializer,
-    ) -> None:
-        """Hook called once per iteration before the search, with its pool."""
+    def prepare(self, evaluator: FrequencyEvaluator, graph: CandidateGraph) -> None:
+        """Hook called once per iteration before the search starts."""
 
     def root_source(
         self, evaluator: FrequencyEvaluator, node: LatticeNode
@@ -296,7 +291,7 @@ def run_incognito(
             ) as sp:
                 checked_before = stats.nodes_checked
                 stats.nodes_generated += len(graph)
-                provider.prepare(evaluator, graph, pool)
+                provider.prepare(evaluator, graph)
                 survivors = _search_graph(
                     evaluator, graph, k, max_suppression, provider, pool
                 )

@@ -26,7 +26,6 @@ from repro.core.problem import PreparedTable
 from repro.core.result import AnonymizationResult
 from repro.lattice.graph import CandidateGraph
 from repro.lattice.node import LatticeNode
-from repro.parallel import BatchMaterializer
 
 
 def family_meet(roots: list[LatticeNode]) -> LatticeNode:
@@ -52,12 +51,7 @@ class SuperRootProvider(RootProvider):
     def __init__(self) -> None:
         self._root_sets: dict[LatticeNode, FrequencySet] = {}
 
-    def prepare(
-        self,
-        evaluator: FrequencyEvaluator,
-        graph: CandidateGraph,
-        pool: BatchMaterializer,
-    ) -> None:
+    def prepare(self, evaluator: FrequencyEvaluator, graph: CandidateGraph) -> None:
         families: dict[tuple[str, ...], list[LatticeNode]] = {}
         for root in graph.roots():
             families.setdefault(root.attributes, []).append(root)
@@ -70,11 +64,9 @@ class SuperRootProvider(RootProvider):
                 # materialize (not scan) so an attached cache can serve the
                 # super-root and gets to keep it for other algorithms.
                 meet = evaluator.materialize(family_meet(roots))
-                requests = [(root, meet) for root in roots]
-                self._root_sets.update(
-                    zip(roots, pool.materialize_batch(evaluator, requests))
-                )
-                del meet, requests  # free it before the next family's scan
+                for root in roots:
+                    self._root_sets[root] = evaluator.materialize(root, meet)
+                del meet  # free it before the next family's scan
 
     def root_source(
         self, evaluator: FrequencyEvaluator, node: LatticeNode

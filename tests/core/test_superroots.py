@@ -18,7 +18,7 @@ from repro.datasets.landsend import landsend_problem
 from repro.datasets.patients import patients_problem
 from repro.lattice.graph import CandidateGraph
 from repro.lattice.node import LatticeNode
-from repro.parallel import BatchMaterializer, ExecutionConfig
+from repro.parallel import ExecutionConfig
 from tests.conftest import make_random_problem
 
 
@@ -167,8 +167,7 @@ class TestSuperRootLifetime:
         assert graph.roots() == [low, high]
         evaluator = FrequencyEvaluator(problem)
         provider = SuperRootProvider()
-        with BatchMaterializer(problem) as pool:
-            provider.prepare(evaluator, graph, pool)
+        provider.prepare(evaluator, graph)
         assert evaluator.stats.table_scans == 1
         assert evaluator.stats.rollups == 1
         for root in (low, high):
